@@ -361,6 +361,12 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         raise ConfigError(
             "analyze needs .asm paths, --builtin and/or --certify"
         )
+    sources: list[tuple[str, str]] = []
+    for path in args.paths:
+        try:
+            sources.append((path, Path(path).read_text(encoding="utf-8")))
+        except OSError as error:
+            raise ConfigError(f"cannot read {path}: {error.strerror}") from None
 
     checked = 0
     error_count = 0
@@ -602,8 +608,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
                 ),
             )
 
-    for path in args.paths:
-        source = Path(path).read_text(encoding="utf-8")
+    for path, source in sources:
         try:
             program = assemble(source, name=Path(path).stem)
         except AssemblyError as error:

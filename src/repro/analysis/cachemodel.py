@@ -33,28 +33,25 @@ transfer and by ``join`` (``tests/test_cachemodel.py`` exercises them):
 * ``must ⊆ may`` (a certainly-present block is possibly present), and
 * ``may[b] <= must[b]`` for shared blocks (bounds bracket the true age).
 
-:class:`HierarchyState` stacks two levels as the simulator does — per-core
-L1D over a shared inclusive L2 — composes hit/miss classifications into
-the three latency classes of :mod:`repro.mem.cache` (L1 hit, L2 hit,
-memory), and enforces inclusion: a block can only stay in L1-must while it
-is in L2-must, because an L2 eviction back-invalidates L1 copies.
-
-:class:`HierarchyState` covers single-core demand traffic (loads,
-write-allocating stores, software prefetches, clflush).
-:class:`MultiCoreHierarchyState` extends the same domain to the
-multi-core machine the attack scenarios run: one private L1D
-:class:`CacheState` per core over the shared inclusive L2, with the
+:class:`MultiCoreHierarchyState` stacks the levels as the simulator
+does — one private L1D per core over a shared inclusive L2 — composes
+hit/miss classifications into the three latency classes of
+:mod:`repro.mem.cache` (L1 hit, L2 hit, memory), enforces inclusion (a
+block can only stay in an L1-must while it is in L2-must, because an L2
+eviction back-invalidates every core's L1 copy), and mirrors the
 write-invalidate and prefetchw-exclusivity coherence steps of
-:class:`repro.mem.hierarchy.MemoryHierarchy` mirrored as abstract
-transfers.  Hardware prefetcher fills are still not modelled concretely —
-the scenario certifier (:mod:`repro.analysis.scenario`) walks the
-undefended machine and applies each defense as an abstract havoc
-transformer (:mod:`repro.analysis.defense`) instead.
+:class:`repro.mem.hierarchy.MemoryHierarchy` as abstract transfers.  The
+single-core timing analyses use it with ``num_cores=1``.  Hardware
+prefetcher fills are not modelled concretely — the scenario certifier
+(:mod:`repro.analysis.scenario`) walks the undefended machine and applies
+each defense as an abstract havoc transformer
+(:mod:`repro.analysis.defense`) instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from repro.mem.hierarchy import HierarchyConfig
 
@@ -224,6 +221,43 @@ class CacheState:
             if not may:
                 del self._may[s]
 
+    def forget(self, block: int) -> None:
+        """Demote ``block`` from certainly to possibly resident."""
+        s = self.geometry.set_of(block)
+        must = self._must.get(s)
+        if must is not None:
+            must.pop(block, None)
+            if not must:
+                del self._must[s]
+
+    def back_invalidate(
+        self, outer: "CacheState", outer_set: int | None = None
+    ) -> None:
+        """Inclusion under ``outer``: an outer eviction invalidates copies here.
+
+        A block stays certainly resident only while certainly resident in
+        ``outer`` (a possible outer eviction may have knocked it out); a
+        block certainly absent from ``outer`` is certainly gone here too.
+        With ``outer_set``, only the sets holding blocks of that outer set
+        are rechecked: an access to one outer set evicts nothing else.
+        """
+        num_sets = self.geometry.num_sets
+        if outer_set is None:
+            sets: Iterable[int] = sorted(self._must.keys() | self._may.keys())
+        else:
+            sets = range(
+                outer_set & (num_sets - 1), num_sets, outer.geometry.num_sets
+            )
+        for s in sets:
+            must = self._must.get(s)
+            if must:
+                for block in [b for b in must if outer.classify(b) != HIT]:
+                    self.forget(block)
+            may = self._may.get(s)
+            if may and not self.may_universal:
+                for block in [b for b in may if outer.classify(b) == MISS]:
+                    self.flush(block)
+
     def havoc_access(self) -> None:
         """An access whose address is unknown: it may touch any set.
 
@@ -349,232 +383,35 @@ class LatencyInterval:
         return self.lo == self.hi
 
 
-class HierarchyState:
-    """Two-level abstract hierarchy: private L1D over shared inclusive L2.
-
-    Mirrors :class:`repro.mem.hierarchy.MemoryHierarchy`'s demand timing
-    for a single core: L1 hit pays ``l1_hit_latency``; an L1 miss adds the
-    L2 outcome (``l2_hit_latency`` or ``memory_latency``); stores are
-    write-allocating and (with ``nonblocking_stores``) cost one cycle;
-    ``clflush`` always costs ``flush_latency``; a software prefetch costs
-    like a load but may be dropped at L1-miss time (MSHR pressure), which
-    only widens its interval.
-    """
-
-    __slots__ = ("config", "l1", "l2", "block_bits")
-
-    def __init__(
-        self,
-        config: HierarchyConfig | None = None,
-        block_size: int = DEFAULT_BLOCK_SIZE,
-    ) -> None:
-        self.config = config or HierarchyConfig()
-        self.l1 = CacheState(
-            _level_geometry(
-                self.config.l1d_size, self.config.l1d_assoc, block_size
-            )
-        )
-        self.l2 = CacheState(
-            _level_geometry(
-                self.config.l2_size, self.config.l2_assoc, block_size
-            )
-        )
-        self.block_bits = block_size.bit_length() - 1
-
-    # -- latency classes -------------------------------------------------------
-
-    @property
-    def l1_latency(self) -> int:
-        return self.config.l1_hit_latency
-
-    @property
-    def l2_latency(self) -> int:
-        return self.config.l1_hit_latency + self.config.l2_hit_latency
-
-    @property
-    def memory_latency(self) -> int:
-        return (
-            self.config.l1_hit_latency
-            + self.config.l2_hit_latency
-            + self.config.memory_latency
-        )
-
-    def block_of(self, addr: int) -> int:
-        return addr >> self.block_bits
-
-    # -- internal helpers ------------------------------------------------------
-
-    def _enforce_inclusion(self) -> None:
-        """L2 evictions back-invalidate L1: keep the abstraction inclusive.
-
-        A block stays certainly-in-L1 only while certainly-in-L2 (otherwise
-        a possible L2 eviction may have knocked it out); a block certainly
-        evicted from L2 is certainly gone from L1 too.
-        """
-        for block in sorted(self.l1.must_blocks()):
-            if self.l2.classify(block) != HIT:
-                s = self.l1.geometry.set_of(block)
-                must = self.l1._must.get(s)
-                if must is not None:
-                    must.pop(block, None)
-                    if not must:
-                        del self.l1._must[s]
-        if not self.l1.may_universal:
-            for block in sorted(self.l1.may_blocks() or frozenset()):
-                if self.l2.classify(block) == MISS:
-                    self.l1.flush(block)
-
-    def _fill_interval(self, block: int) -> LatencyInterval:
-        """Latency of a demand access classified against both levels.
-
-        Mutates both levels exactly as the simulator's demand path does:
-        the L1 is always accessed; the L2 is accessed only when the L1
-        misses (joined when the L1 outcome is unknown).
-        """
-        l1_class = self.l1.classify(block)
-        if l1_class == HIT:
-            self.l1.access(block)
-            return LatencyInterval(self.l1_latency, self.l1_latency)
-        l2_class = self.l2.classify(block)
-        if l1_class == MISS:
-            self.l2.access(block)
-            self.l1.access(block)
-            self._enforce_inclusion()
-            if l2_class == HIT:
-                return LatencyInterval(self.l2_latency, self.l2_latency)
-            if l2_class == MISS:
-                return LatencyInterval(self.memory_latency, self.memory_latency)
-            return LatencyInterval(self.l2_latency, self.memory_latency)
-        # Unknown at L1: the L2 may or may not see the access.
-        touched = self.l2.copy()
-        touched.access(block)
-        self.l2 = self.l2.join(touched)
-        self.l1.access(block)
-        self._enforce_inclusion()
-        hi = self.l2_latency if l2_class == HIT else self.memory_latency
-        return LatencyInterval(self.l1_latency, hi)
-
-    def _havoc_interval(self) -> LatencyInterval:
-        """Latency bounds for an access whose address never resolved."""
-        if self.l1.any_hit_possible():
-            lo = self.l1_latency
-        elif self.l2.any_hit_possible():
-            lo = self.l2_latency
-        else:
-            lo = self.memory_latency
-        self.l1.havoc_access()
-        self.l2.havoc_access()
-        self._enforce_inclusion()
-        return LatencyInterval(lo, self.memory_latency)
-
-    # -- demand interface ------------------------------------------------------
-
-    def load(self, addr: int | None) -> LatencyInterval:
-        """Demand load of ``addr`` (``None`` = statically unresolved)."""
-        if addr is None:
-            return self._havoc_interval()
-        return self._fill_interval(self.block_of(addr))
-
-    def store(self, addr: int | None) -> LatencyInterval:
-        """Demand store: write-allocates like a load; cheap when nonblocking."""
-        if addr is None:
-            fill = self._havoc_interval()
-        else:
-            fill = self._fill_interval(self.block_of(addr))
-        if self.config.nonblocking_stores:
-            return LatencyInterval(1, 1)
-        return fill
-
-    def prefetch(self, addr: int | None) -> LatencyInterval:
-        """Software prefetch: load-shaped latency, droppable on an L1 miss."""
-        if addr is None:
-            interval = self._havoc_interval()
-            return LatencyInterval(self.l1_latency, interval.hi)
-        block = self.block_of(addr)
-        if self.l1.classify(block) == HIT:
-            self.l1.access(block)
-            return LatencyInterval(self.l1_latency, self.l1_latency)
-        untouched_l1 = self.l1.copy()
-        untouched_l2 = self.l2.copy()
-        filled = self._fill_interval(block)
-        self.l1 = self.l1.join(untouched_l1)
-        self.l2 = self.l2.join(untouched_l2)
-        return LatencyInterval(self.l1_latency, filled.hi)
-
-    def flush(self, addr: int | None) -> LatencyInterval:
-        """clflush: evict the line everywhere; constant latency."""
-        if addr is None:
-            self.l1.havoc_flush()
-            self.l2.havoc_flush()
-        else:
-            block = self.block_of(addr)
-            self.l1.flush(block)
-            self.l2.flush(block)
-        latency = self.config.flush_latency
-        return LatencyInterval(latency, latency)
-
-    # -- lattice operations ----------------------------------------------------
-
-    def copy(self) -> "HierarchyState":
-        dup = HierarchyState.__new__(HierarchyState)
-        dup.config = self.config
-        dup.l1 = self.l1.copy()
-        dup.l2 = self.l2.copy()
-        dup.block_bits = self.block_bits
-        return dup
-
-    def join(self, other: "HierarchyState") -> "HierarchyState":
-        joined = HierarchyState.__new__(HierarchyState)
-        joined.config = self.config
-        joined.l1 = self.l1.join(other.l1)
-        joined.l2 = self.l2.join(other.l2)
-        joined.block_bits = self.block_bits
-        return joined
-
-    def leq(self, other: "HierarchyState") -> bool:
-        return self.l1.leq(other.l1) and self.l2.leq(other.l2)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, HierarchyState):
-            return NotImplemented
-        return (
-            self.config == other.config
-            and self.l1 == other.l1
-            and self.l2 == other.l2
-        )
-
-    def __hash__(self) -> int:  # pragma: no cover - mutable, not hashed
-        raise TypeError("HierarchyState is mutable and unhashable")
 
 
 class MultiCoreHierarchyState:
     """N private L1D states over one shared inclusive L2, with coherence.
 
     The abstract counterpart of :class:`repro.mem.hierarchy.MemoryHierarchy`
-    for ``num_cores`` cores, mirroring its coherence steps as transfers on
-    the must/may domain:
+    for ``num_cores`` cores (one for the single-core timing analyses).
+    Demand timing composes the two levels: an L1 hit pays
+    ``l1_hit_latency``; an L1 miss adds the L2 outcome (``l2_hit_latency``
+    or ``memory_latency``); ``clflush`` always costs ``flush_latency``.
+    The coherence steps are mirrored as transfers on the must/may domain:
 
+    * every L2 update back-invalidates every core's L1 and drops the
+      exclusivity record of a line the L2 may have evicted;
     * a demand access by one core to a line another core holds
       *exclusively* (after ``prefetchw``) steals it: the owner's L1 copy
       is invalidated and the exclusivity record dropped;
-    * a store invalidates the line in every other core's L1
-      (write-invalidate) and costs one cycle under ``nonblocking_stores``;
+    * a store write-allocates, invalidates the line in every other core's
+      L1 (write-invalidate) and costs one cycle under ``nonblocking_stores``;
     * ``prefetchw`` invalidates other copies (paying
       ``prefetchw_snoop_latency`` when one existed) and records the
       issuing core as exclusive owner;
     * ``clflush`` evicts the line from every cache, everywhere.
 
-    Software prefetches are modelled as *completing* fills: the concrete
-    hierarchy drops a prefetch only when the line is absent from L1 *and*
-    no prefetch MSHR is free, and a blocking core pays the full fill
-    latency before issuing its next access, so the MSHR is always free
-    again by then.  The scenario walker's differential oracle
-    (``tests/test_certify_oracle.py``) pins this assumption against the
-    simulator.
-
-    Unlike :class:`HierarchyState`, all addresses must be resolved: the
-    product walker gives up (verdict ``UNKNOWN``) before ever issuing an
-    unresolved access, so no havoc-on-unknown-address path exists here.
+    An address of ``None`` is statically unresolved: the access may touch
+    any set, so the touched levels are havocked.  A software prefetch is
+    either a *completing* fill or, with ``droppable``, one the concrete
+    hierarchy may squash at L1-miss time for want of a free prefetch MSHR
+    (the result then joins the filled and the untouched state).
     """
 
     __slots__ = ("config", "num_cores", "l1s", "l2", "exclusive", "block_bits")
@@ -582,7 +419,7 @@ class MultiCoreHierarchyState:
     def __init__(
         self,
         config: HierarchyConfig | None = None,
-        num_cores: int = 2,
+        num_cores: int = 1,
         block_size: int = DEFAULT_BLOCK_SIZE,
     ) -> None:
         if num_cores < 1:
@@ -598,9 +435,10 @@ class MultiCoreHierarchyState:
                 self.config.l2_size, self.config.l2_assoc, block_size
             )
         )
-        #: block -> owning core; records are *certain* (the deterministic
-        #: product walk never merges states with differing ownership, and
-        #: ``join`` pre-resolves uncertain records conservatively).
+        #: block -> owning core.  A record whose survival becomes uncertain
+        #: (a join, a possible L2 eviction, an unresolved steal) is dropped
+        #: and the owner's line demoted out of must: the steal it would
+        #: cause may or may not happen.
         self.exclusive: dict[int, int] = {}
         self.block_bits = block_size.bit_length() - 1
 
@@ -627,33 +465,68 @@ class MultiCoreHierarchyState:
 
     # -- internal helpers ------------------------------------------------------
 
-    def _enforce_inclusion(self, core: int) -> None:
-        """Per-core inclusion against the shared L2 (see HierarchyState)."""
-        l1 = self.l1s[core]
-        for block in sorted(l1.must_blocks()):
-            if self.l2.classify(block) != HIT:
-                s = l1.geometry.set_of(block)
-                must = l1._must.get(s)
-                if must is not None:
-                    must.pop(block, None)
-                    if not must:
-                        del l1._must[s]
-        if not l1.may_universal:
-            for block in sorted(l1.may_blocks() or frozenset()):
-                if self.l2.classify(block) == MISS:
-                    l1.flush(block)
+    def _forget_owner(self, block: int, owner: int) -> None:
+        del self.exclusive[block]
+        self.l1s[owner].forget(block)
 
-    def _yield_exclusivity(self, core: int, block: int) -> None:
+    def _enforce_inclusion(self, block: int | None) -> None:
+        """L2 evictions back-invalidate every core's L1 and drop ownership.
+
+        Only ``block``'s L2 set can have lost lines (any set for ``None``).
+        """
+        l2_set = None if block is None else self.l2.geometry.set_of(block)
+        for l1 in self.l1s:
+            l1.back_invalidate(self.l2, l2_set)
+        for block, owner in list(self.exclusive.items()):
+            if self.l2.classify(block) != HIT:
+                self._forget_owner(block, owner)
+
+    def _yield_exclusivity(self, core: int, block: int | None) -> None:
         """Steal an exclusively held line when another core touches it."""
+        if block is None:
+            for other_block, owner in list(self.exclusive.items()):
+                if owner != core:
+                    self._forget_owner(other_block, owner)
+            return
         owner = self.exclusive.get(block)
         if owner is None or owner == core:
             return
         self.l1s[owner].flush(block)
         del self.exclusive[block]
 
-    def _fill_interval(self, core: int, block: int) -> LatencyInterval:
-        """Demand-fill latency for ``core``; mirrors HierarchyState's."""
+    def _invalidate_others(self, core: int, block: int | None) -> tuple[bool, bool]:
+        """Invalidate ``block`` in every other L1: ``(certain, possible)`` copy."""
+        certain = possible = False
+        for other, l1 in enumerate(self.l1s):
+            if other == core:
+                continue
+            if block is None:
+                possible = possible or l1.any_hit_possible()
+                l1.havoc_flush()
+                continue
+            residency = l1.classify(block)
+            if residency != MISS:
+                l1.flush(block)
+                certain = certain or residency == HIT
+                possible = True
+        return certain, possible
+
+    def _fill_interval(self, core: int, block: int | None) -> LatencyInterval:
+        """Demand-fill latency for ``core``, mutating both levels as the
+        simulator's demand path does: the L1 is always accessed; the L2 only
+        when the L1 misses (joined when the L1 outcome is unknown)."""
         l1 = self.l1s[core]
+        if block is None:
+            if l1.any_hit_possible():
+                lo = self.l1_latency
+            elif self.l2.any_hit_possible():
+                lo = self.l2_latency
+            else:
+                lo = self.memory_latency
+            l1.havoc_access()
+            self.l2.havoc_access()
+            self._enforce_inclusion(block)
+            return LatencyInterval(lo, self.memory_latency)
         l1_class = l1.classify(block)
         if l1_class == HIT:
             l1.access(block)
@@ -661,78 +534,86 @@ class MultiCoreHierarchyState:
         l2_class = self.l2.classify(block)
         if l1_class == MISS:
             self.l2.access(block)
-            l1.access(block)
-            self._enforce_inclusion(core)
-            if l2_class == HIT:
-                return LatencyInterval(self.l2_latency, self.l2_latency)
-            if l2_class == MISS:
-                return LatencyInterval(self.memory_latency, self.memory_latency)
-            return LatencyInterval(self.l2_latency, self.memory_latency)
-        touched = self.l2.copy()
-        touched.access(block)
-        self.l2 = self.l2.join(touched)
+        else:  # unknown at L1: the L2 may or may not see the access
+            touched = self.l2.copy()
+            touched.access(block)
+            self.l2 = self.l2.join(touched)
         l1.access(block)
-        self._enforce_inclusion(core)
+        self._enforce_inclusion(block)
+        if l1_class != MISS:
+            lo = self.l1_latency
+        elif l2_class == MISS:
+            lo = self.memory_latency
+        else:
+            lo = self.l2_latency
         hi = self.l2_latency if l2_class == HIT else self.memory_latency
-        return LatencyInterval(self.l1_latency, hi)
+        return LatencyInterval(lo, hi)
 
     # -- demand interface ------------------------------------------------------
 
-    def load(self, core: int, addr: int) -> LatencyInterval:
+    def load(self, core: int, addr: int | None) -> LatencyInterval:
         """Demand load by ``core``: steal exclusivity, then fill."""
-        block = self.block_of(addr)
+        block = None if addr is None else self.block_of(addr)
         self._yield_exclusivity(core, block)
         return self._fill_interval(core, block)
 
-    def store(self, core: int, addr: int) -> LatencyInterval:
+    def store(self, core: int, addr: int | None) -> LatencyInterval:
         """Demand store: write-allocate + write-invalidate other L1 copies."""
-        block = self.block_of(addr)
+        block = None if addr is None else self.block_of(addr)
         self._yield_exclusivity(core, block)
         fill = self._fill_interval(core, block)
-        for other, l1 in enumerate(self.l1s):
-            if other != core:
-                l1.flush(block)
+        self._invalidate_others(core, block)
         if self.config.nonblocking_stores:
             return LatencyInterval(1, 1)
         return fill
 
     def prefetch(
-        self, core: int, addr: int, write: bool = False
+        self,
+        core: int,
+        addr: int | None,
+        write: bool = False,
+        droppable: bool = False,
     ) -> LatencyInterval:
-        """Software prefetch / prefetchw, modelled as a completing fill.
+        """Software prefetch / prefetchw: load-shaped latency.
 
         ``prefetchw`` pays the snoop penalty when another core's copy was
         invalidated; when a copy's residency is only *possible* the
-        penalty widens the upper bound instead (the walker then gives up,
-        keeping the verdict sound).
+        penalty widens the upper bound instead.
         """
-        block = self.block_of(addr)
+        block = None if addr is None else self.block_of(addr)
+        if droppable and (block is None or self.l1s[core].classify(block) != HIT):
+            untouched = self.copy()
+            filled = self.prefetch(core, addr, write)
+            joined = self.join(untouched)
+            self.l1s, self.l2, self.exclusive = joined.l1s, joined.l2, joined.exclusive
+            return LatencyInterval(self.l1_latency, filled.hi)
         snoop_lo = snoop_hi = 0
         if write:
+            certain, possible = self._invalidate_others(core, block)
             penalty = self.config.prefetchw_snoop_latency
-            for other, l1 in enumerate(self.l1s):
-                if other == core:
-                    continue
-                residency = l1.classify(block)
-                if residency != MISS:
-                    l1.flush(block)
-                    if residency == HIT:
-                        snoop_lo = snoop_hi = penalty
-                    else:
-                        snoop_hi = penalty
-            self.exclusive[block] = core
+            snoop_lo = penalty if certain else 0
+            snoop_hi = penalty if possible else 0
+            if block is not None and self.num_cores > 1:
+                # One core can never lose the line to a steal: no record.
+                self.exclusive[block] = core
         else:
             self._yield_exclusivity(core, block)
         fill = self._fill_interval(core, block)
         return LatencyInterval(fill.lo + snoop_lo, fill.hi + snoop_hi)
 
-    def flush(self, core: int, addr: int) -> LatencyInterval:
+    def flush(self, core: int, addr: int | None) -> LatencyInterval:
         """clflush: evict the line from every cache level, everywhere."""
-        block = self.block_of(addr)
-        self.exclusive.pop(block, None)
-        for l1 in self.l1s:
-            l1.flush(block)
-        self.l2.flush(block)
+        if addr is None:
+            self.exclusive.clear()
+            for l1 in self.l1s:
+                l1.havoc_flush()
+            self.l2.havoc_flush()
+        else:
+            block = self.block_of(addr)
+            self.exclusive.pop(block, None)
+            for l1 in self.l1s:
+                l1.flush(block)
+            self.l2.flush(block)
         latency = self.config.flush_latency
         return LatencyInterval(latency, latency)
 
@@ -749,50 +630,48 @@ class MultiCoreHierarchyState:
 
     # -- lattice operations ----------------------------------------------------
 
-    def copy(self) -> "MultiCoreHierarchyState":
+    def _with(
+        self,
+        l1s: tuple[CacheState, ...],
+        l2: CacheState,
+        exclusive: dict[int, int],
+    ) -> "MultiCoreHierarchyState":
         dup = MultiCoreHierarchyState.__new__(MultiCoreHierarchyState)
         dup.config = self.config
         dup.num_cores = self.num_cores
-        dup.l1s = tuple(l1.copy() for l1 in self.l1s)
-        dup.l2 = self.l2.copy()
-        dup.exclusive = dict(self.exclusive)
         dup.block_bits = self.block_bits
+        dup.l1s, dup.l2, dup.exclusive = l1s, l2, exclusive
         return dup
+
+    def copy(self) -> "MultiCoreHierarchyState":
+        return self._with(
+            tuple(l1.copy() for l1 in self.l1s),
+            self.l2.copy(),
+            dict(self.exclusive),
+        )
 
     def join(self, other: "MultiCoreHierarchyState") -> "MultiCoreHierarchyState":
         """Least upper bound over both cache states and ownership records.
 
-        Ownership kept only where both sides agree; a record present on
-        one side only (or with differing owners) means a later steal is
-        merely *possible*, so the join pre-resolves it conservatively: the
-        record is dropped and the recorded owner's line demoted out of
-        must (its may entry survives — the steal may never happen).
+        Ownership is kept only where both sides agree; any other record is
+        uncertain and dropped with its owner's line demoted out of must.
         """
         if self.num_cores != other.num_cores:
             raise ValueError("cannot join states with different core counts")
-        joined = MultiCoreHierarchyState.__new__(MultiCoreHierarchyState)
-        joined.config = self.config
-        joined.num_cores = self.num_cores
-        joined.l1s = tuple(
-            a.join(b) for a, b in zip(self.l1s, other.l1s)
+        joined = self._with(
+            tuple(a.join(b) for a, b in zip(self.l1s, other.l1s)),
+            self.l2.join(other.l2),
+            {
+                block: owner
+                for block, owner in self.exclusive.items()
+                if other.exclusive.get(block) == owner
+            },
         )
-        joined.l2 = self.l2.join(other.l2)
-        joined.block_bits = self.block_bits
-        joined.exclusive = {}
-        for block, owner in self.exclusive.items():
-            if other.exclusive.get(block) == owner:
-                joined.exclusive[block] = owner
         uncertain = (
             set(self.exclusive.items()) | set(other.exclusive.items())
         ) - set(joined.exclusive.items())
         for block, owner in sorted(uncertain):
-            l1 = joined.l1s[owner]
-            s = l1.geometry.set_of(block)
-            must = l1._must.get(s)
-            if must is not None:
-                must.pop(block, None)
-                if not must:
-                    del l1._must[s]
+            joined.l1s[owner].forget(block)
         return joined
 
     def leq(self, other: "MultiCoreHierarchyState") -> bool:
@@ -816,3 +695,7 @@ class MultiCoreHierarchyState:
 
     def __hash__(self) -> int:  # pragma: no cover - mutable, not hashed
         raise TypeError("MultiCoreHierarchyState is mutable and unhashable")
+
+
+#: The single-core hierarchy is the one-core case of the same state.
+HierarchyState = MultiCoreHierarchyState

@@ -5,20 +5,18 @@ this module composes them into PREFENDER's actual claim — an attacker and
 a victim sharing a hierarchy, with the defense's guided prefetches
 destroying the attacker's observation.  Three layers:
 
-* **Product walk** — the attacker and victim CFGs execute as an
+* **Product walk** — the attacker and victim programs execute as an
   interleaved product over one shared
   :class:`~repro.analysis.cachemodel.MultiCoreHierarchyState` and one
-  shared memory image, mirroring :meth:`repro.cpu.system.System.run_steps`
-  exactly: at every step the non-halted core with the smallest local time
-  executes one instruction (strict ``<`` keeps the lower-index core on
-  ties), with :func:`repro.analysis.timing._walk`'s per-instruction
-  semantics (rdcycle, the serialising flag, countdown-loop fusion, the
-  OoO hide window).  Under exact times the scheduler's schedule set is a
-  *singleton*, so the sound interleaving join over producible schedule
-  points degenerates to the one schedule the simulator runs; the moment
-  any latency interval widens the walker gives up and the verdict is
-  ``UNKNOWN`` — never a guess.  Single-program attacks reuse
-  :func:`~repro.analysis.timing._walk` unchanged.
+  shared memory image, under :func:`repro.analysis.timing._walk` — the
+  same walker, instruction semantics and
+  :meth:`repro.cpu.system.System.run_steps` schedule the timing map uses,
+  with the *raise* precision policy.  Under exact times the scheduler's
+  schedule set is a *singleton*, so the sound interleaving join over
+  producible schedule points degenerates to the one schedule the
+  simulator runs; the moment any latency interval widens the walker
+  gives up and the verdict is ``UNKNOWN`` — never a guess.  A
+  single-program attack walks under the *widen* policy instead.
 * **Observation** — the walk computes the attacker's *own measurements*:
   the rdcycle deltas its probe loop stores into the results array.  Those
   latencies classify into a candidate set with the attack's published
@@ -40,8 +38,8 @@ success >= 0.9 undefended, DEFENDED cells measure 0.00, and the static
 grid reproduces PR 5's ``1.00 -> 0.00`` PREFENDER result without running
 a single simulation.
 
-Scope notes.  Software prefetches are modelled as completing fills (see
-:class:`~repro.analysis.cachemodel.MultiCoreHierarchyState`); speculative
+Scope notes.  Software prefetches in a product walk are modelled as
+completing fills (see :func:`repro.analysis.timing._walk`); speculative
 victims and whole-run timing channels (Evict+Time) are out of scope and
 certify as ``UNKNOWN``.
 """
@@ -51,40 +49,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, Sequence
 
-from repro.analysis.cachemodel import MultiCoreHierarchyState
-from repro.analysis.dataflow import _transfer
 from repro.analysis.defense import (
     COVERAGE_CERTAIN,
     COVERAGE_NONE,
-    COVERAGE_POSSIBLE,
     DefenseModel,
     defense_model,
     havoc_reach,
     scale_trigger_satisfiable,
 )
-from repro.analysis.taint import _branch_taken
-from repro.analysis.timing import (
-    DEFAULT_WALK_STEPS,
-    _charged,
-    _initial_memory,
-    _walk,
-)
+from repro.analysis.timing import DEFAULT_WALK_STEPS, _Unresolved, _walk
 from repro.cpu.core import CoreConfig
-from repro.isa.decode import (
-    K_ADD_RI,
-    K_BRANCH,
-    K_CLFLUSH,
-    K_FENCE,
-    K_HALT,
-    K_JMP,
-    K_LOAD,
-    K_MUL_RI,
-    K_MUL_RR,
-    K_PREFETCH,
-    K_RDCYCLE,
-    K_STORE,
-)
-from repro.isa.registers import WORD_MASK, ZERO_REGISTER
 from repro.mem.hierarchy import HierarchyConfig
 
 #: Verdict labels (stable — CLI JSON output uses them).
@@ -108,14 +82,6 @@ SUPPORTED_ATTACKS = frozenset(
 #: Default defense rows certified by ``analyze --certify`` (the dynamic
 #: grid's own default pair).
 DEFAULT_DEFENSE_ROWS = ("Base", "FULL")
-
-
-class _Unresolved(Exception):
-    """The walk (or its classification) lost precision; verdict UNKNOWN."""
-
-    def __init__(self, reason: str) -> None:
-        super().__init__(reason)
-        self.reason = reason
 
 
 @dataclass(frozen=True)
@@ -159,213 +125,6 @@ class CertificationReport:
         return self.count(UNKNOWN) / len(self.cells)
 
 
-# -- product walk ----------------------------------------------------------------
-
-
-class _CoreWalk:
-    """Exact per-core walker state (registers, pc, local time)."""
-
-    __slots__ = ("core_id", "decoded", "n", "regs", "pc", "time", "serialized")
-
-    def __init__(self, core_id: int, decoded: tuple[tuple[Any, ...], ...]) -> None:
-        self.core_id = core_id
-        self.decoded = decoded
-        self.n = len(decoded)
-        self.regs: dict[int, int] = {ZERO_REGISTER: 0}
-        self.pc = 0
-        self.time = 0
-        self.serialized = False
-
-    def reg(self, index: int) -> int:
-        if index == ZERO_REGISTER:
-            return 0
-        value = self.regs.get(index)
-        if value is None:
-            raise _Unresolved(
-                f"core {self.core_id}: register r{index} unknown at pc {self.pc}"
-            )
-        return value
-
-    def _exact(self, lo: int, hi: int) -> int:
-        if lo != hi:
-            raise _Unresolved(
-                f"core {self.core_id}: access latency widened to "
-                f"{lo}..{hi} at pc {self.pc}"
-            )
-        return lo
-
-    def step(
-        self,
-        shared: MultiCoreHierarchyState,
-        memory: dict[int, int],
-        config: CoreConfig,
-        fuse: bool,
-    ) -> bool:
-        """Execute one instruction; returns True when the core halts.
-
-        Mirrors :func:`repro.analysis.timing._walk` instruction for
-        instruction, with memory/cache effects routed through the shared
-        multi-core state.  Any precision loss raises :class:`_Unresolved`.
-        """
-        if not 0 <= self.pc < self.n:
-            raise _Unresolved(
-                f"core {self.core_id}: pc {self.pc} escaped the program"
-            )
-        tup = self.decoded[self.pc]
-        kind = tup[0]
-        base = config.base_cost
-        branch_cost = config.branch_cost
-        if kind == K_LOAD:
-            _, rd, rs0, imm, _pc = tup
-            addr = (self.reg(rs0) + imm) & WORD_MASK
-            interval = shared.load(self.core_id, addr)
-            lo, hi = _charged(interval, config, self.serialized)
-            self.serialized = False
-            self.time += self._exact(lo, hi)
-            if rd != ZERO_REGISTER:
-                self.regs[rd] = memory.get(addr, 0) & WORD_MASK
-            self.pc += 1
-        elif kind == K_STORE:
-            _, rs0, rs1, imm, _pc = tup
-            addr = (self.reg(rs1) + imm) & WORD_MASK
-            value = self.reg(rs0)
-            interval = shared.store(self.core_id, addr)
-            self.time += self._exact(interval.lo, interval.hi)
-            memory[addr] = value & WORD_MASK
-            self.pc += 1
-        elif kind == K_CLFLUSH:
-            _, rs0, imm = tup
-            addr = (self.reg(rs0) + imm) & WORD_MASK
-            interval = shared.flush(self.core_id, addr)
-            self.time += self._exact(interval.lo, interval.hi)
-            self.pc += 1
-        elif kind == K_PREFETCH:
-            _, rs0, imm, write = tup
-            addr = (self.reg(rs0) + imm) & WORD_MASK
-            interval = shared.prefetch(self.core_id, addr, bool(write))
-            lo, hi = _charged(interval, config, self.serialized)
-            self.serialized = False
-            self.time += self._exact(lo, hi)
-            self.pc += 1
-        elif kind == K_BRANCH:
-            _, cond, rs0, rs1, target = tup
-            a = self.reg(rs0)
-            b = self.reg(rs1)
-            if not isinstance(target, int) or not 0 <= target < self.n:
-                raise _Unresolved(
-                    f"core {self.core_id}: branch target {target!r} invalid"
-                )
-            taken = _branch_taken(cond, a, b)
-            self.time += branch_cost
-            index = self.pc
-            self.pc = target if taken else self.pc + 1
-            if (
-                fuse
-                and taken
-                and target == index - 1
-                and cond == 1
-                and rs1 == ZERO_REGISTER
-                and rs0 != ZERO_REGISTER
-            ):
-                prev = self.decoded[index - 1]
-                value = self.regs.get(rs0)
-                if (
-                    value is not None
-                    and prev[0] == K_ADD_RI
-                    and prev[1] == rs0
-                    and prev[2] == rs0
-                    and prev[3] == WORD_MASK
-                ):
-                    # Countdown fusion is schedule-safe: the fused window
-                    # executes only register arithmetic (no memory or
-                    # cache effects), so the other core's interleaved
-                    # events observe identical shared state.
-                    m = value - 1
-                    if m > 0:
-                        self.regs[rs0] = 1
-                        self.time += m * (base + branch_cost)
-        elif kind == K_JMP:
-            target = tup[1]
-            if not isinstance(target, int) or not 0 <= target < self.n:
-                raise _Unresolved(
-                    f"core {self.core_id}: jump target {target!r} invalid"
-                )
-            self.time += branch_cost
-            self.pc = target
-        elif kind == K_RDCYCLE:
-            rd = tup[1]
-            if rd != ZERO_REGISTER:
-                self.regs[rd] = self.time & WORD_MASK
-            self.serialized = True
-            self.time += base
-            self.pc += 1
-        elif kind == K_FENCE:
-            self.serialized = True
-            self.time += base
-            self.pc += 1
-        elif kind == K_HALT:
-            self.time += base
-            return True
-        else:
-            _transfer(self.regs, tup)
-            self.time += base if kind not in (K_MUL_RR, K_MUL_RI) else config.mul_cost
-            self.pc += 1
-        return False
-
-
-def _merged_memory(programs: Sequence[Any]) -> dict[int, int]:
-    """Shared word store at t=0: every program's data segments, in order.
-
-    Mirrors :func:`repro.sim.simulator.build_system` loading each
-    program's data into the one shared main memory.
-    """
-    memory: dict[int, int] = {}
-    for program in programs:
-        for address, value in _initial_memory(program, {}).items():
-            if value is not None:
-                memory[address] = value
-    return memory
-
-
-def _product_walk(
-    programs: Sequence[Any],
-    config: CoreConfig,
-    hconfig: HierarchyConfig,
-    max_steps: int,
-) -> dict[int, int]:
-    """Interleaved product walk; returns the final shared memory image.
-
-    Scheduling is byte-identical to :meth:`repro.cpu.system.System.run_steps`:
-    the non-halted core with the smallest local time steps next, strict
-    ``<`` keeping the lower-index core on ties.  Raises :class:`_Unresolved`
-    on any precision loss or step exhaustion.
-    """
-    shared = MultiCoreHierarchyState(hconfig, num_cores=len(programs))
-    memory = _merged_memory(programs)
-    fuse = config.fuse_countdown_loops and not config.speculative_execution
-    cores = [
-        _CoreWalk(core_id, tuple(program.decoded))
-        for core_id, program in enumerate(programs)
-    ]
-    active = [core for core in cores if core.n > 0]
-    budget = max_steps * len(cores)
-    for _ in range(budget):
-        if not active:
-            return memory
-        best = active[0]
-        for core in active[1:]:
-            if core.time < best.time:
-                best = core
-        if best.step(shared, memory, config, fuse):
-            active.remove(best)
-    if active:
-        raise _Unresolved(
-            f"product walk exhausted {budget} steps with "
-            f"{len(active)} core(s) still running"
-        )
-    return memory
-
-
 # -- observation -----------------------------------------------------------------
 
 
@@ -394,21 +153,17 @@ def _walk_attack(
 ) -> frozenset[int]:
     """Walk one built attack instance; returns its candidate index set."""
     programs = attack.build_programs()
-    if len(programs) == 1:
-        memory = _initial_memory(programs[0], {})
-        outcome = _walk(
-            tuple(programs[0].decoded),
-            memory,
-            config,
-            hconfig,
-            frozenset(),
-            max_steps,
-        )
-        if outcome.final is None or outcome.hi is None:
-            raise _Unresolved("single-core walk did not resolve")
-        final_memory = memory
-    else:
-        final_memory = _product_walk(programs, config, hconfig, max_steps)
+    outcome = _walk(
+        programs,
+        {},
+        config,
+        hconfig,
+        strict=len(programs) > 1,
+        max_steps=max_steps,
+    )
+    if outcome.hi is None:
+        raise _Unresolved("single-core walk did not resolve")
+    final_memory = outcome.memory
     layout, options = attack.layout, attack.options
     latencies: list[int] = []
     for index in range(options.num_indices):
@@ -479,48 +234,32 @@ def _observe(
         havoc = ()
     scale_ok = bool(havoc) and scale_trigger_satisfiable(options.scale)
 
+    found: dict[int, frozenset[int]] = {}
+    feasible = True
     failure: str | None = None
     if attack_name not in SUPPORTED_ATTACKS:
         failure = f"attack {attack_name!r} is outside the walker's scope"
     elif config.speculative_execution or options.victim_mode != "direct":
         failure = "speculative semantics are outside the walker's scope"
-    if failure is not None:
-        return _Observations(
-            secrets=secret_tuple,
-            candidates=None,
-            feasible=None,
-            havoc=havoc,
-            scale_ok=scale_ok,
-            failure=failure,
-        )
-
-    candidates: dict[int, frozenset[int]] = {}
-    feasible = True
-    try:
-        for secret in secret_tuple:
-            attack = build(secret)
-            observed = _walk_attack(attack, config, hconfig, max_steps)
-            candidates[secret] = observed
-            expected = frozenset(
-                descriptor.expected_indices(secret, attack.options)
-            )
-            feasible = feasible and observed == expected
-    except _Unresolved as unresolved:
-        return _Observations(
-            secrets=secret_tuple,
-            candidates=None,
-            feasible=None,
-            havoc=havoc,
-            scale_ok=scale_ok,
-            failure=unresolved.reason,
-        )
+    else:
+        try:
+            for secret in secret_tuple:
+                attack = build(secret)
+                observed = _walk_attack(attack, config, hconfig, max_steps)
+                found[secret] = observed
+                expected = frozenset(
+                    descriptor.expected_indices(secret, attack.options)
+                )
+                feasible = feasible and observed == expected
+        except _Unresolved as unresolved:
+            failure = unresolved.reason
     return _Observations(
         secrets=secret_tuple,
-        candidates=candidates,
-        feasible=feasible,
+        candidates=found if failure is None else None,
+        feasible=feasible if failure is None else None,
         havoc=havoc,
         scale_ok=scale_ok,
-        failure=None,
+        failure=failure,
     )
 
 
@@ -599,57 +338,45 @@ def _certify_cell(
     observations: _Observations,
 ) -> CellCertificate:
     coverage = _effective_coverage(model, observations.scale_ok)
-    if observations.candidates is None:
-        return CellCertificate(
-            victim=victim,
-            attack=attack,
-            defense=model.label,
-            verdict=UNKNOWN,
-            coverage=coverage,
-            feasible=None,
-            secrets=observations.secrets,
-            distinguishing=(),
-            havoc=observations.havoc,
-            witness=None,
-            detail=observations.failure or "walk did not resolve",
-        )
     secrets = observations.secrets
-    candidates = observations.candidates
-    differing = _distinguishing(secrets, candidates)
-    if not differing:
+
+    def cell(
+        verdict: str,
+        detail: str,
+        distinguishing: tuple[int, ...] = (),
+        witness: tuple[int, int, int] | None = None,
+    ) -> CellCertificate:
         return CellCertificate(
             victim=victim,
             attack=attack,
             defense=model.label,
-            verdict=DEFENDED,
+            verdict=verdict,
             coverage=coverage,
             feasible=observations.feasible,
             secrets=secrets,
-            distinguishing=(),
-            havoc=observations.havoc,
-            witness=None,
-            detail=(
-                f"all {len(secrets)} trial secrets yield one attacker "
-                "observable; nothing to distinguish"
-            ),
-        )
-    if coverage == COVERAGE_NONE:
-        witness = _witness_at(secrets, candidates, differing)
-        return CellCertificate(
-            victim=victim,
-            attack=attack,
-            defense=model.label,
-            verdict=LEAKS,
-            coverage=coverage,
-            feasible=observations.feasible,
-            secrets=secrets,
-            distinguishing=differing,
+            distinguishing=distinguishing,
             havoc=observations.havoc,
             witness=witness,
-            detail=(
-                f"{len(differing)} probe index(es) stay distinguishable; "
-                f"defense provably idle ({model.description})"
-            ),
+            detail=detail,
+        )
+
+    candidates = observations.candidates
+    if candidates is None:
+        return cell(UNKNOWN, observations.failure or "walk did not resolve")
+    differing = _distinguishing(secrets, candidates)
+    if not differing:
+        return cell(
+            DEFENDED,
+            f"all {len(secrets)} trial secrets yield one attacker "
+            "observable; nothing to distinguish",
+        )
+    if coverage == COVERAGE_NONE:
+        return cell(
+            LEAKS,
+            f"{len(differing)} probe index(es) stay distinguishable; "
+            f"defense provably idle ({model.description})",
+            differing,
+            _witness_at(secrets, candidates, differing),
         )
     if coverage == COVERAGE_CERTAIN:
         uncovered = tuple(
@@ -658,54 +385,24 @@ def _certify_cell(
             if index not in set(observations.havoc)
         )
         if not uncovered:
-            return CellCertificate(
-                victim=victim,
-                attack=attack,
-                defense=model.label,
-                verdict=DEFENDED,
-                coverage=coverage,
-                feasible=observations.feasible,
-                secrets=secrets,
-                distinguishing=differing,
-                havoc=observations.havoc,
-                witness=None,
-                detail=(
-                    f"every distinguishing index ({len(differing)}) is "
-                    "havocked to top by the certainly-firing defense"
-                ),
+            return cell(
+                DEFENDED,
+                f"every distinguishing index ({len(differing)}) is "
+                "havocked to top by the certainly-firing defense",
+                differing,
             )
-        witness = _witness_at(secrets, candidates, uncovered)
-        return CellCertificate(
-            victim=victim,
-            attack=attack,
-            defense=model.label,
-            verdict=LEAKS,
-            coverage=coverage,
-            feasible=observations.feasible,
-            secrets=secrets,
-            distinguishing=differing,
-            havoc=observations.havoc,
-            witness=witness,
-            detail=(
-                f"{len(uncovered)} distinguishing index(es) escape the "
-                "defense's certain havoc reach"
-            ),
+        return cell(
+            LEAKS,
+            f"{len(uncovered)} distinguishing index(es) escape the "
+            "defense's certain havoc reach",
+            differing,
+            _witness_at(secrets, candidates, uncovered),
         )
-    return CellCertificate(
-        victim=victim,
-        attack=attack,
-        defense=model.label,
-        verdict=UNKNOWN,
-        coverage=COVERAGE_POSSIBLE,
-        feasible=observations.feasible,
-        secrets=secrets,
-        distinguishing=differing,
-        havoc=observations.havoc,
-        witness=None,
-        detail=(
-            "distinguishable undefended, but the defense's firing is only "
-            f"possible ({model.description})"
-        ),
+    return cell(
+        UNKNOWN,
+        "distinguishable undefended, but the defense's firing is only "
+        f"possible ({model.description})",
+        differing,
     )
 
 

@@ -4,9 +4,9 @@ Three layers on top of :mod:`repro.analysis.cachemodel`:
 
 * :func:`analyze_timing` / :func:`cycle_bounds` — abstract interpretation
   of the cache hierarchy over the PR 6 CFG (join at merge points, one
-  :class:`~repro.analysis.cachemodel.HierarchyState` per block), then a
-  per-block cycle-cost interval combining the core's Table III calc-rule
-  costs (``base``/``mul``/``branch`` from
+  single-core :class:`~repro.analysis.cachemodel.MultiCoreHierarchyState`
+  per block), then a per-block cycle-cost interval combining the core's
+  Table III calc-rule costs (``base``/``mul``/``branch`` from
   :class:`~repro.cpu.core.CoreConfig`) with the abstract hit/miss
   classification of every memory access.  Whole-program bounds come from
   shortest/longest path over the block costs: ``lo`` is the cheapest
@@ -22,15 +22,21 @@ Three layers on top of :mod:`repro.analysis.cachemodel`:
   *walk* the program with exact register/memory/cache state (the analog
   of :func:`~repro.analysis.taint.leak_map`'s feasible-edges constant
   propagation, extended with the abstract hierarchy and the core's exact
-  cost model, including ``rdcycle`` values and countdown-loop fusion).
-  On a fully resolved walk the abstract cache degenerates to exact LRU
-  and the returned interval is a single point — which
-  ``tests/test_timing_oracle.py`` pins against the simulator's measured
-  cycles for every victim × secret.  :func:`cache_distinguishers` runs
-  the walk once per secret and compares the attacker-observable must/may
-  block sets at the last secret-addressed access (``AN-CACHE-DISTINGUISH``).
+  cost model, including ``rdcycle`` values, countdown-loop fusion and
+  fills still in flight).  On a fully resolved walk the abstract cache
+  degenerates to exact LRU and the returned interval is a single point —
+  which ``tests/test_timing_oracle.py`` pins against the simulator's
+  measured cycles for every victim × secret.  :func:`cache_distinguishers`
+  runs the walk once per secret and compares the attacker-observable
+  must/may block sets at the last secret-addressed access
+  (``AN-CACHE-DISTINGUISH``).
 
-Scope: the non-speculative single-core semantics the undefended ``Base``
+The walker, :func:`_walk`, is the package's one interpreter of the ISA: it
+also runs the attacker and victim programs of
+:mod:`repro.analysis.scenario` as an interleaved product over one shared
+hierarchy, under a stricter precision policy.
+
+Scope: the non-speculative semantics the undefended ``Base``
 configuration runs (no prefetcher, default :class:`~repro.cpu.core.CoreConfig`).
 A speculative core's transient windows are invisible to the architectural
 CFG, so :func:`analyze_timing` returns the trivial ``[0, None]`` bound for
@@ -43,7 +49,13 @@ import heapq
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
-from repro.analysis.cachemodel import HierarchyState, LatencyInterval
+from repro.analysis.cachemodel import (
+    HIT,
+    MISS,
+    UNKNOWN,
+    LatencyInterval,
+    MultiCoreHierarchyState,
+)
 from repro.analysis.cfg import EXIT, ControlFlowGraph, build_cfg
 from repro.analysis.dataflow import _transfer
 from repro.analysis.taint import TaintAnalysis, _branch_taken, taint_of_program
@@ -72,6 +84,8 @@ Decoded = tuple[tuple[Any, ...], ...]
 #: spin-wait loops of cross-core attackers, which can never exit under
 #: single-core walk semantics.
 DEFAULT_WALK_STEPS = 200_000
+
+_ACCESS_KINDS = frozenset({K_LOAD, K_STORE, K_CLFLUSH, K_PREFETCH})
 
 
 @dataclass(frozen=True)
@@ -130,30 +144,35 @@ def _charged(
     )
 
 
-def _cache_effect(
-    state: HierarchyState, kind: int, addr: int | None
+def _access(
+    state: MultiCoreHierarchyState,
+    core: int,
+    tup: tuple[Any, ...],
+    addr: int | None,
+    droppable: bool,
 ) -> LatencyInterval | None:
     """Apply one access to the abstract hierarchy; ``None`` for non-accesses."""
+    kind = tup[0]
     if kind == K_LOAD:
-        return state.load(addr)
+        return state.load(core, addr)
     if kind == K_STORE:
-        return state.store(addr)
+        return state.store(core, addr)
     if kind == K_PREFETCH:
-        return state.prefetch(addr)
+        return state.prefetch(core, addr, tup[3], droppable)
     if kind == K_CLFLUSH:
-        return state.flush(addr)
+        return state.flush(core, addr)
     return None
 
 
 def _instruction_cost(
     tup: tuple[Any, ...],
-    state: HierarchyState,
+    state: MultiCoreHierarchyState,
     addr: int | None,
     config: CoreConfig,
 ) -> tuple[int, int, LatencyInterval | None]:
     """``(lo, hi, access interval)`` of one instruction; mutates ``state``."""
     kind = tup[0]
-    interval = _cache_effect(state, kind, addr)
+    interval = _access(state, 0, tup, addr, droppable=True)
     if interval is not None:
         if kind in (K_LOAD, K_PREFETCH):
             # The hide window may not apply (a serialising rdcycle/fence can
@@ -173,7 +192,7 @@ def _timing_fixpoint(
     cfg: ControlFlowGraph,
     resolved: Mapping[int, int],
     hierarchy: HierarchyConfig,
-) -> dict[int, HierarchyState]:
+) -> dict[int, MultiCoreHierarchyState]:
     """Per-block abstract hierarchy in-states (forward, join meet).
 
     In-states only ascend (each update joins into the previous state), and
@@ -181,14 +200,14 @@ def _timing_fixpoint(
     finite height, so the worklist terminates without widening.
     """
     reachable = set(cfg.reachable)
-    in_states: dict[int, HierarchyState] = {0: HierarchyState(hierarchy)}
+    in_states = {0: MultiCoreHierarchyState(hierarchy)}
     worklist = [0]
     while worklist:
         index = worklist.pop(0)
         state = in_states[index].copy()
         block = cfg.blocks[index]
         for i in block.instruction_indices():
-            _cache_effect(state, decoded[i][0], resolved.get(i))
+            _access(state, 0, decoded[i], resolved.get(i), droppable=True)
         for successor in block.successors:
             if successor == EXIT or successor not in reachable:
                 continue
@@ -401,217 +420,349 @@ def timing_variations(
     return tuple(variations)
 
 
-# -- exact walk (timing_map / cache distinguishers) -----------------------------
+# -- exact walk (timing_map / cache distinguishers / certify) -------------------
+
+
+class _Unresolved(Exception):
+    """The walk lost precision (gave up); a strict caller's verdict is UNKNOWN."""
+
+    def __init__(self, reason: str) -> None:
+        super().__init__(reason)
+        self.reason = reason
+
+
+class _Core:
+    """One program's walk context: registers, pc, local time interval."""
+
+    __slots__ = ("core_id", "decoded", "regs", "pc", "lo", "hi", "serialized")
+
+    def __init__(self, core_id: int, decoded: Decoded) -> None:
+        self.core_id = core_id
+        self.decoded = decoded
+        self.regs: dict[int, int] = {ZERO_REGISTER: 0}
+        self.pc = 0
+        self.lo = 0
+        self.hi = 0
+        self.serialized = False
 
 
 @dataclass
 class _WalkOutcome:
-    """Result of one concrete-secret program walk."""
+    """Result of one walk; the interval is core 0's."""
 
     lo: int
+    #: ``None`` when the walk gave up.
     hi: int | None
-    #: ``(instruction index, observable)`` at each watched access, in
-    #: execution order.
+    #: ``(instruction index, observable)`` at each watched access of core
+    #: 0, in execution order.
     snapshots: list[tuple[int, tuple[Any, ...]]]
     #: Hierarchy state at halt (``None`` when the walk gave up).
-    final: HierarchyState | None
-
-    @property
-    def interval(self) -> CycleInterval:
-        return CycleInterval(self.lo, self.hi)
-
-
-def _observable(state: HierarchyState) -> tuple[Any, ...]:
-    """Attacker-observable residency: must/may block sets of both levels."""
-    return (
-        state.l1.must_blocks(),
-        state.l1.may_blocks(),
-        state.l2.must_blocks(),
-        state.l2.may_blocks(),
-    )
+    final: MultiCoreHierarchyState | None
+    #: Shared word store at the end of the walk.
+    memory: dict[int, int | None]
 
 
 def _initial_memory(
-    program: Any, bindings: Mapping[int, int]
+    programs: Sequence[Any], bindings: Mapping[int, int]
 ) -> dict[int, int | None]:
-    """Word store at t=0: data segments overlaid with the secret bindings.
+    """Shared word store at t=0: every program's data segments, in order,
+    overlaid with the secret bindings.
 
-    Mirrors :meth:`repro.mem.memory.MainMemory.load_program_data` plus the
-    snapshot-replay path's per-trial secret poke.
+    Mirrors :func:`repro.sim.simulator.build_system` loading each program's
+    data into the one shared main memory, plus the snapshot-replay path's
+    per-trial secret poke.
     """
     memory: dict[int, int | None] = {}
-    for segment in program.data_segments:
-        for offset, value in enumerate(segment.values):
-            memory[segment.base + offset * segment.stride] = value & WORD_MASK
+    for program in programs:
+        for segment in program.data_segments:
+            for offset, value in enumerate(segment.values):
+                memory[segment.base + offset * segment.stride] = value & WORD_MASK
     for address, value in bindings.items():
         memory[address] = value & WORD_MASK
     return memory
 
 
+#: ``(level, block) -> (ready time, exact)`` of each fill the simulator may
+#: still have in flight: the level is a core id for that core's L1 and
+#: ``-1`` for the shared L2; block ``None`` is an unresolved address.
+_Fills = dict[tuple[int, int | None], tuple[int, bool]]
+
+
+def _in_flight(
+    shared: MultiCoreHierarchyState,
+    fills: _Fills,
+    core: int,
+    block: int | None,
+    now_lo: int,
+    now_hi: int,
+    exact: bool,
+) -> int:
+    """Extra cycles an access pays for meeting a fill still in flight.
+
+    The abstract hierarchy lands every fill at once; the simulator inserts
+    the line at issue and the data arrives later.  A tag hit on a line
+    still in flight pays ``max(hit latency, ready - now)`` at that level,
+    as :meth:`repro.mem.cache.Cache.access` does.  Every other meeting — an
+    MSHR merge on a line evicted while in flight, MSHR back-pressure, an
+    inexact time — is not modelled and raises :class:`_Unresolved`.  Call
+    before the access mutates ``shared``: it records the fill the access
+    starts (``exact`` false for a fill that may be dropped).
+    """
+    for key in [key for key, (ready, _) in fills.items() if ready <= now_lo]:
+        del fills[key]
+    config = shared.config
+    exact = exact and now_lo == now_hi
+    l1_class = UNKNOWN if block is None else shared.l1s[core].classify(block)
+    l2_class = UNKNOWN if block is None else shared.l2.classify(block)
+    levels = [level for level, _ in fills]
+    if l1_class != HIT and (
+        levels.count(core) >= config.mshr_entries
+        or levels.count(-1) >= config.mshr_entries * shared.num_cores
+    ):
+        raise _Unresolved(f"core {core}: MSHR back-pressure not modelled")
+    if fills and (block is None or any(b is None for _, b in fills)):
+        raise _Unresolved(f"core {core}: unresolved access meets a fill")
+    shift = 0
+    own = fills.get((core, block))
+    below = fills.get((-1, block))
+    if own is not None:
+        if l1_class != HIT or not (exact and own[1]):
+            raise _Unresolved(f"core {core}: in-flight L1 fill not modelled")
+        shift = max(0, own[0] - now_lo - config.l1_hit_latency)
+    elif below is not None and l1_class != HIT:
+        if l1_class != MISS or l2_class != HIT or not (exact and below[1]):
+            raise _Unresolved(f"core {core}: in-flight L2 fill not modelled")
+        shift = max(0, below[0] - now_lo - shared.l2_latency)
+    if l1_class != HIT:
+        latency = shared.l2_latency if l2_class == HIT else shared.memory_latency
+        ready = now_hi + latency + shift
+        exact = exact and l1_class == MISS
+        fills[(core, block)] = (ready, exact and l2_class != UNKNOWN)
+        if l2_class != HIT:
+            fills[(-1, block)] = (ready, exact and l2_class == MISS)
+    return shift
+
+
+def _unknown_register(core: _Core, index: int, pc: int) -> _Unresolved:
+    return _Unresolved(f"core {core.core_id}: register r{index} unknown at pc {pc}")
+
+
 def _walk(
-    decoded: Decoded,
-    memory: dict[int, int | None],
+    programs: Sequence[Any],
+    bindings: Mapping[int, int],
     config: CoreConfig,
     hconfig: HierarchyConfig,
-    watch: frozenset[int],
-    max_steps: int,
+    *,
+    strict: bool,
+    watch: frozenset[int] = frozenset(),
+    max_steps: int = DEFAULT_WALK_STEPS,
 ) -> _WalkOutcome:
-    """Execute ``decoded`` with exact register/memory/time state.
+    """Execute one program per core over one shared abstract hierarchy.
 
     Mirrors :class:`repro.cpu.core.Core`'s non-speculative semantics
     instruction for instruction — including ``rdcycle`` reading the
-    current cycle, the serialising flag, and countdown-loop fusion — but
-    carries the *abstract* hierarchy, so an access that cannot be resolved
-    widens the time interval instead of crashing the walk.  Gives up
-    (``hi=None``) on a branch over unknown values, a PC escape, or step
-    exhaustion.
+    current cycle, the serialising flag, the OoO hide window and
+    countdown-loop fusion — with exact registers, memory and local time,
+    and schedules the cores as :meth:`repro.cpu.system.System.run_steps`
+    does: the non-halted core with the smallest local time executes next,
+    strict ``<`` keeping the lower-index core on ties.  Under exact times
+    the schedule is the one the simulator runs.
+
+    The precision policy is the caller's:
+
+    * widen (``strict=False``, one program): unknown values propagate, an
+      unresolved address havocs the hierarchy and widens the time
+      interval, and software prefetches are droppable.  A branch over an
+      unknown value, a PC escape or step exhaustion gives up (``hi=None``).
+    * raise (``strict=True``): any precision loss — an unknown register, a
+      widened latency, a give-up — raises :class:`_Unresolved`, and
+      software prefetches are completing fills that honour ``prefetchw``
+      (a blocking core pays the full fill latency before its next access,
+      so a prefetch MSHR is always free again by then).
     """
-    state: dict[int, int] = {ZERO_REGISTER: 0}
-    hierarchy = HierarchyState(hconfig)
+    if not strict and len(programs) != 1:
+        raise ValueError("a widening walk has exactly one program")
+    shared = MultiCoreHierarchyState(hconfig, num_cores=len(programs))
+    memory = _initial_memory(programs, bindings)
     snapshots: list[tuple[int, tuple[Any, ...]]] = []
-    time_lo = 0
-    time_hi = 0
-    serialized = False
-    memory_clobbered = False
+    cores = [_Core(index, tuple(p.decoded)) for index, p in enumerate(programs)]
+    active = [core for core in cores if core.decoded]
+    clobbered = False
     base = config.base_cost
     branch_cost = config.branch_cost
     mul_cost = config.mul_cost
     fuse = config.fuse_countdown_loops and not config.speculative_execution
-    n = len(decoded)
-    pc = 0
-
-    def reg(index: int) -> int | None:
-        return 0 if index == ZERO_REGISTER else state.get(index)
-
-    for _ in range(max_steps):
-        if not 0 <= pc < n:
-            return _WalkOutcome(time_lo, None, snapshots, None)
-        tup = decoded[pc]
-        kind = tup[0]
-        if kind == K_LOAD:
-            _, rd, rs0, imm, _pc = tup
-            bval = reg(rs0)
-            addr = None if bval is None else (bval + imm) & WORD_MASK
-            interval = hierarchy.load(addr)
-            lo, hi = _charged(interval, config, serialized)
-            serialized = False
-            time_lo += lo
-            time_hi += hi
-            if rd != ZERO_REGISTER:
-                value = (
-                    None
-                    if addr is None or memory_clobbered
-                    else memory.get(addr, 0)
-                )
-                if value is None:
-                    state.pop(rd, None)
+    block_bits = shared.block_bits
+    nonblocking = hconfig.nonblocking_stores
+    fills: _Fills = {}
+    budget = steps = max_steps * len(cores)
+    time_lo = 0
+    try:
+        while active:
+            core = min(active, key=lambda c: c.lo)
+            # Run ``core`` while the scheduler would keep picking it: ahead
+            # of every lower-index core, not behind any higher-index one.
+            position = active.index(core)
+            limit = min(
+                [c.lo - 1 for c in active[:position]]
+                + [c.lo for c in active[position + 1:]],
+                default=None,
+            )
+            cid = core.core_id
+            decoded = core.decoded
+            n = len(decoded)
+            regs = core.regs
+            get = regs.get
+            pc = core.pc
+            time_lo = core.lo
+            time_hi = core.hi
+            serialized = core.serialized
+            halted = False
+            while limit is None or time_lo <= limit:
+                if steps == 0:
+                    raise _Unresolved(
+                        f"product walk exhausted {budget} steps with "
+                        f"{len(active)} core(s) still running"
+                    )
+                steps -= 1
+                if not 0 <= pc < n:
+                    raise _Unresolved(f"core {cid}: pc {pc} escaped the program")
+                tup = decoded[pc]
+                kind = tup[0]
+                if kind in _ACCESS_KINDS:
+                    at = 2 if kind == K_LOAD or kind == K_STORE else 1
+                    bval = get(tup[at])
+                    if bval is None and strict:
+                        raise _unknown_register(core, tup[at], pc)
+                    addr = None if bval is None else (bval + tup[at + 1]) & WORD_MASK
+                    if kind == K_STORE:
+                        value = get(tup[1])
+                        if value is None and strict:
+                            raise _unknown_register(core, tup[1], pc)
+                        if addr is None:
+                            clobbered = True
+                        else:
+                            memory[addr] = value
+                    shift = 0
+                    if kind != K_CLFLUSH:
+                        block = None if addr is None else addr >> block_bits
+                        shift = _in_flight(
+                            shared, fills, cid, block, time_lo, time_hi,
+                            exact=strict or kind != K_PREFETCH,
+                        )
+                        if kind == K_STORE and nonblocking:
+                            shift = 0
+                    interval = _access(shared, cid, tup, addr, not strict)
+                    assert interval is not None
+                    if shift:
+                        interval = LatencyInterval(
+                            interval.lo + shift, interval.hi + shift
+                        )
+                    lo, hi = interval.lo, interval.hi
+                    if kind == K_LOAD or kind == K_PREFETCH:
+                        lo, hi = _charged(interval, config, serialized)
+                        serialized = False
+                    if strict and lo != hi:
+                        raise _Unresolved(
+                            f"core {cid}: access latency widened to "
+                            f"{lo}..{hi} at pc {pc}"
+                        )
+                    time_lo += lo
+                    time_hi += hi
+                    if kind == K_LOAD and tup[1] != ZERO_REGISTER:
+                        loaded = (
+                            None
+                            if addr is None or clobbered
+                            else memory.get(addr, 0)
+                        )
+                        if loaded is None:
+                            regs.pop(tup[1], None)
+                        else:
+                            regs[tup[1]] = loaded & WORD_MASK
+                    if pc in watch:
+                        snapshots.append((pc, shared.observable(cid)))
+                    pc += 1
+                elif kind == K_BRANCH:
+                    _, cond, rs0, rs1, target = tup
+                    a = get(rs0)
+                    b = get(rs1)
+                    if strict and (a is None or b is None):
+                        raise _unknown_register(core, rs0 if a is None else rs1, pc)
+                    if not isinstance(target, int) or not 0 <= target < n:
+                        raise _Unresolved(
+                            f"core {cid}: branch target {target!r} invalid"
+                        )
+                    if a is None or b is None:
+                        raise _Unresolved(f"core {cid}: branch on unknown value")
+                    taken = _branch_taken(cond, a, b)
+                    time_lo += branch_cost
+                    time_hi += branch_cost
+                    if (
+                        fuse
+                        and taken
+                        and target == pc - 1
+                        and cond == 1
+                        and rs1 == ZERO_REGISTER
+                        and rs0 != ZERO_REGISTER
+                    ):
+                        # Countdown fusion is schedule-safe: the fused
+                        # window executes only register arithmetic, so the
+                        # other cores observe identical shared state.
+                        prev = decoded[pc - 1]
+                        if (
+                            prev[0] == K_ADD_RI
+                            and prev[1] == rs0
+                            and prev[2] == rs0
+                            and prev[3] == WORD_MASK
+                            and a - 1 > 0
+                        ):
+                            regs[rs0] = 1
+                            jump = (a - 1) * (base + branch_cost)
+                            time_lo += jump
+                            time_hi += jump
+                    pc = target if taken else pc + 1
+                elif kind == K_JMP:
+                    target = tup[1]
+                    if not isinstance(target, int) or not 0 <= target < n:
+                        raise _Unresolved(
+                            f"core {cid}: jump target {target!r} invalid"
+                        )
+                    time_lo += branch_cost
+                    time_hi += branch_cost
+                    pc = target
+                elif kind == K_HALT:
+                    time_lo += base
+                    time_hi += base
+                    halted = True
+                    break
+                elif kind == K_RDCYCLE or kind == K_FENCE:
+                    if kind == K_RDCYCLE and tup[1] != ZERO_REGISTER:
+                        if time_lo == time_hi:
+                            regs[tup[1]] = time_lo & WORD_MASK
+                        else:
+                            regs.pop(tup[1], None)
+                    serialized = True
+                    time_lo += base
+                    time_hi += base
+                    pc += 1
                 else:
-                    state[rd] = value & WORD_MASK
-            if pc in watch:
-                snapshots.append((pc, _observable(hierarchy)))
-            pc += 1
-        elif kind == K_STORE:
-            _, rs0, rs1, imm, _pc = tup
-            bval = reg(rs1)
-            addr = None if bval is None else (bval + imm) & WORD_MASK
-            interval = hierarchy.store(addr)
-            time_lo += interval.lo
-            time_hi += interval.hi
-            if addr is None:
-                memory_clobbered = True
-            else:
-                memory[addr] = reg(rs0)
-            if pc in watch:
-                snapshots.append((pc, _observable(hierarchy)))
-            pc += 1
-        elif kind == K_CLFLUSH:
-            _, rs0, imm = tup
-            bval = reg(rs0)
-            addr = None if bval is None else (bval + imm) & WORD_MASK
-            interval = hierarchy.flush(addr)
-            time_lo += interval.lo
-            time_hi += interval.hi
-            if pc in watch:
-                snapshots.append((pc, _observable(hierarchy)))
-            pc += 1
-        elif kind == K_PREFETCH:
-            _, rs0, imm, _write = tup
-            bval = reg(rs0)
-            addr = None if bval is None else (bval + imm) & WORD_MASK
-            interval = hierarchy.prefetch(addr)
-            lo, hi = _charged(interval, config, serialized)
-            serialized = False
-            time_lo += lo
-            time_hi += hi
-            if pc in watch:
-                snapshots.append((pc, _observable(hierarchy)))
-            pc += 1
-        elif kind == K_BRANCH:
-            _, cond, rs0, rs1, target = tup
-            a = reg(rs0)
-            b = reg(rs1)
-            if (
-                a is None
-                or b is None
-                or not isinstance(target, int)
-                or not 0 <= target < n
-            ):
-                return _WalkOutcome(time_lo, None, snapshots, None)
-            taken = _branch_taken(cond, a, b)
-            time_lo += branch_cost
-            time_hi += branch_cost
-            index = pc
-            pc = target if taken else pc + 1
-            if fuse and taken and target == index - 1 and cond == 1 and rs1 == ZERO_REGISTER and rs0 != ZERO_REGISTER:
-                prev = decoded[index - 1]
-                value = state.get(rs0)
-                if (
-                    value is not None
-                    and prev[0] == K_ADD_RI
-                    and prev[1] == rs0
-                    and prev[2] == rs0
-                    and prev[3] == WORD_MASK
-                ):
-                    m = value - 1
-                    if m > 0:
-                        state[rs0] = 1
-                        jump = m * (base + branch_cost)
-                        time_lo += jump
-                        time_hi += jump
-        elif kind == K_JMP:
-            target = tup[1]
-            if not isinstance(target, int) or not 0 <= target < n:
-                return _WalkOutcome(time_lo, None, snapshots, None)
-            time_lo += branch_cost
-            time_hi += branch_cost
-            pc = target
-        elif kind == K_RDCYCLE:
-            rd = tup[1]
-            if rd != ZERO_REGISTER:
-                if time_lo == time_hi:
-                    state[rd] = time_lo & WORD_MASK
-                else:
-                    state.pop(rd, None)
-            serialized = True
-            time_lo += base
-            time_hi += base
-            pc += 1
-        elif kind == K_FENCE:
-            serialized = True
-            time_lo += base
-            time_hi += base
-            pc += 1
-        elif kind == K_HALT:
-            time_lo += base
-            time_hi += base
-            return _WalkOutcome(time_lo, time_hi, snapshots, hierarchy)
-        else:
-            _transfer(state, tup)
-            cost = mul_cost if kind in (K_MUL_RR, K_MUL_RI) else base
-            time_lo += cost
-            time_hi += cost
-            pc += 1
-    return _WalkOutcome(time_lo, None, snapshots, None)
+                    _transfer(regs, tup)
+                    cost = mul_cost if kind in (K_MUL_RR, K_MUL_RI) else base
+                    time_lo += cost
+                    time_hi += cost
+                    pc += 1
+            core.pc = pc
+            core.lo = time_lo
+            core.hi = time_hi
+            core.serialized = serialized
+            if halted:
+                active.remove(core)
+    except _Unresolved:
+        if strict:
+            raise
+        return _WalkOutcome(time_lo, None, snapshots, None, memory)
+    first = cores[0]
+    return _WalkOutcome(first.lo, first.hi, snapshots, shared, memory)
 
 
 def _secret_bindings(program: Any, secret: int) -> dict[int, int]:
@@ -643,19 +794,17 @@ def timing_map(
     config = core or CoreConfig()
     if config.speculative_execution:
         return CycleInterval(0, None)
-    decoded = tuple(program.decoded)
-    if not decoded:
+    if not program.decoded:
         return CycleInterval(0, 0)
-    memory = _initial_memory(program, _secret_bindings(program, secret))
     outcome = _walk(
-        decoded,
-        memory,
+        [program],
+        _secret_bindings(program, secret),
         config,
         hierarchy or HierarchyConfig(),
-        frozenset(),
-        max_steps,
+        strict=False,
+        max_steps=max_steps,
     )
-    return outcome.interval
+    return CycleInterval(outcome.lo, outcome.hi)
 
 
 @dataclass(frozen=True)
@@ -673,24 +822,6 @@ class DistinguisherReport:
     index: int | None
     #: One-line human-readable explanation.
     detail: str
-
-
-def _walk_observable(
-    program: Any,
-    secret: int,
-    watch: frozenset[int],
-    config: CoreConfig,
-    hconfig: HierarchyConfig,
-    max_steps: int,
-) -> tuple[int | None, tuple[Any, ...]] | None:
-    decoded = tuple(program.decoded)
-    memory = _initial_memory(program, _secret_bindings(program, secret))
-    outcome = _walk(decoded, memory, config, hconfig, watch, max_steps)
-    if outcome.snapshots:
-        return outcome.snapshots[-1]
-    if outcome.final is not None:
-        return (None, _observable(outcome.final))
-    return None
 
 
 def cache_distinguishers(
@@ -711,32 +842,39 @@ def cache_distinguishers(
     cache level distinguishes them — the AN-CACHE-DISTINGUISH verdict.
     """
     secret_tuple = tuple(dict.fromkeys(secrets))
-    config = core or CoreConfig()
-    if config.speculative_execution or len(secret_tuple) < 2:
+
+    def indistinct(detail: str) -> DistinguisherReport:
         return DistinguisherReport(
             secrets=secret_tuple,
             distinguishable=False,
             witness=None,
             index=None,
-            detail="not evaluated (needs >= 2 secrets, non-speculative core)",
+            detail=detail,
         )
-    taint = taint_of_program(program)
-    watch = frozenset(taint.secret_addressed())
-    hconfig = hierarchy or HierarchyConfig()
+
+    config = core or CoreConfig()
+    if config.speculative_execution or len(secret_tuple) < 2:
+        return indistinct(
+            "not evaluated (needs >= 2 secrets, non-speculative core)"
+        )
+    watch = frozenset(taint_of_program(program).secret_addressed())
     observed: list[tuple[int, tuple[int | None, tuple[Any, ...]]]] = []
     for secret in secret_tuple:
-        observable = _walk_observable(
-            program, secret, watch, config, hconfig, max_steps
+        outcome = _walk(
+            [program],
+            _secret_bindings(program, secret),
+            config,
+            hierarchy or HierarchyConfig(),
+            strict=False,
+            watch=watch,
+            max_steps=max_steps,
         )
-        if observable is None:
-            return DistinguisherReport(
-                secrets=secret_tuple,
-                distinguishable=False,
-                witness=None,
-                index=None,
-                detail=f"walk for secret {secret} did not resolve",
-            )
-        observed.append((secret, observable))
+        if outcome.snapshots:
+            observed.append((secret, outcome.snapshots[-1]))
+        elif outcome.final is not None:
+            observed.append((secret, (None, outcome.final.observable(0))))
+        else:
+            return indistinct(f"walk for secret {secret} did not resolve")
     first_secret, (first_index, first_state) = observed[0]
     for secret, (index, observable) in observed[1:]:
         if observable != first_state or index != first_index:
@@ -750,15 +888,9 @@ def cache_distinguishers(
                     "must/may residency in a shared cache level"
                 ),
             )
-    return DistinguisherReport(
-        secrets=secret_tuple,
-        distinguishable=False,
-        witness=None,
-        index=None,
-        detail=(
-            f"all {len(secret_tuple)} secrets converge to one "
-            "attacker-observable residency state"
-        ),
+    return indistinct(
+        f"all {len(secret_tuple)} secrets converge to one "
+        "attacker-observable residency state"
     )
 
 

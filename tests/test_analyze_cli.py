@@ -9,6 +9,7 @@ every pre-existing v1/v2 field byte-identical.
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -86,3 +87,40 @@ def test_analyze_without_any_target_is_rejected(capsys):
     with pytest.raises(SystemExit):
         main(["analyze"])
     assert "analyze needs .asm paths" in capsys.readouterr().err
+
+
+#: sha256 of two full ``analyze --json`` documents (the first is also
+#: pinned in ``perfbench/reference.json``).  Any drift in a cycle bound, a
+#: cache verdict or a certificate changes these bytes.
+PINNED_DIGESTS = {
+    (
+        "--builtin",
+        "--taint",
+        "--timing",
+        "--certify",
+        "--json",
+    ): "b27ef97105f33a3042d250eacc733c168aec2fde0926c077ec626b4789b3995b",
+    (
+        "--builtin",
+        "--timing",
+        "--json",
+    ): "bc229801eae688ec9e3d9e8e70e3120ff0dbcc97fd2c923ac6ff105dfb59f743",
+}
+
+
+@pytest.mark.parametrize("flags", sorted(PINNED_DIGESTS), ids=" ".join)
+def test_analyze_json_digest_is_pinned(capsys, flags):
+    assert main(["analyze", *flags]) == 0
+    out = capsys.readouterr().out
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digest == PINNED_DIGESTS[flags]
+
+
+def test_missing_asm_path_is_a_usage_error(capsys, tmp_path):
+    missing = tmp_path / "missing.asm"
+    with pytest.raises(SystemExit) as excinfo:
+        main(["analyze", str(missing)])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert str(missing) in err
+    assert "Traceback" not in err

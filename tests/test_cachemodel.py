@@ -10,7 +10,7 @@ must/may intervals collapse to exact LRU, which is what makes
 ``timing_map`` cycle-exact for the straight-line victims.
 """
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.cachemodel import (
@@ -19,7 +19,9 @@ from repro.analysis.cachemodel import (
     UNKNOWN,
     CacheGeometry,
     CacheState,
+    MultiCoreHierarchyState,
 )
+from repro.mem.hierarchy import HierarchyConfig, MemoryHierarchy
 
 #: Small geometry so sequences actually evict: 4 sets x 2 ways.
 GEOMETRY = CacheGeometry(num_sets=4, assoc=2, block_bits=6)
@@ -114,3 +116,72 @@ def test_concrete_path_matches_reference_lru(sequence):
         ways = lru[GEOMETRY.set_of(block)]
         expected = HIT if block in ways else MISS
         assert state.classify(block) == expected, (sequence, block)
+
+
+# -- two cores over one shared L2: concrete latency within abstract bound ----
+
+#: One-set, two-way L2 under roomy L1s: almost every third distinct line
+#: evicts from the L2 and back-invalidates whichever core held the victim.
+TINY_L2 = HierarchyConfig(l2_size=128, l2_assoc=2)
+LINES = (0x1000, 0x2000, 0x3000, 0x4000)
+
+two_core_sequences = st.lists(
+    st.tuples(
+        st.sampled_from(("load", "store", "flush", "prefetch", "prefetchw")),
+        st.integers(0, 1),
+        st.sampled_from(LINES),
+    ),
+    max_size=24,
+)
+
+
+def check_two_core_containment(ops):
+    concrete = MemoryHierarchy(2, TINY_L2)
+    abstract = MultiCoreHierarchyState(TINY_L2, num_cores=2)
+    for step, (op, core, addr) in enumerate(ops):
+        now = 10_000 * (step + 1)  # far apart: every fill has completed
+        if op == "load":
+            latency = concrete.load(core, addr, now).latency
+            interval = abstract.load(core, addr)
+        elif op == "store":
+            latency = concrete.store(core, addr, step, now)
+            interval = abstract.store(core, addr)
+        elif op == "flush":
+            latency = concrete.flush(core, addr, now)
+            interval = abstract.flush(core, addr)
+        else:
+            write = op == "prefetchw"
+            latency = concrete.software_prefetch(core, addr, now, write).latency
+            interval = abstract.prefetch(core, addr, write)
+        assert interval.lo <= latency <= interval.hi, (ops, step, interval)
+
+
+@settings(max_examples=300, deadline=None)
+@given(two_core_sequences)
+@example(
+    # The L2 evicts core 0's exclusively held line: the record goes with
+    # it, so core 1's later load steals nothing from core 0's reload.
+    [
+        ("prefetchw", 0, 0x1000),
+        ("load", 0, 0x2000),
+        ("load", 0, 0x3000),
+        ("load", 0, 0x1000),
+        ("load", 1, 0x1000),
+        ("load", 0, 0x1000),
+    ]
+)
+def test_two_core_latency_within_abstract_interval(ops):
+    check_two_core_containment(ops)
+
+
+def test_l2_eviction_back_invalidates_the_other_core():
+    """Core 0's fills evict core 1's line from the shared L2: core 1's
+    reload must go to memory, not hit its (back-invalidated) L1."""
+    check_two_core_containment(
+        [
+            ("load", 1, 0x1000),
+            ("load", 0, 0x2000),
+            ("load", 0, 0x3000),
+            ("load", 1, 0x1000),
+        ]
+    )

@@ -18,6 +18,8 @@ both against the real simulator:
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis import (
     cache_distinguishers,
@@ -25,8 +27,15 @@ from repro.analysis import (
     timing_map,
     trial_intervals,
 )
+from repro.analysis.timing import _Unresolved, _walk
 from repro.attacks import scenarios
+from repro.cpu.core import CoreConfig
+from repro.isa import decode
+from repro.isa.assembler import assemble
 from repro.runner import ATTACK_KINDS
+from repro.mem.hierarchy import HierarchyConfig
+from repro.sim.config import SystemConfig
+from repro.sim.simulator import build_system, run_program
 from repro.workloads.crypto import get_victim, victim_names
 
 CRYPTO_LEAKY = ("aes-ttable", "direct", "ecdsa-window", "rsa-sqmul")
@@ -138,3 +147,140 @@ def test_cache_distinguisher_verdicts(name):
     else:
         assert not report.distinguishable, name
         assert report.witness is None
+
+
+# -- drift guard: every decoded op kind walks to the simulator's cycles -----
+
+#: One minimal program per ``repro.isa.decode`` op kind: a little set-up,
+#: the op under test, then ``halt``.  A new op kind fails
+#: ``test_every_op_kind_has_a_program`` until it gets a program here and
+#: the walker prices it like the core does.  A software prefetch that
+#: misses the L1 is droppable under the timing walk (a wide interval), so
+#: the prefetches run on a resident line, where their cost is exact.
+OP_PROGRAMS = {
+    "K_LOAD": "li r1, 0x10000\nload r2, 0(r1)\nload r3, 8(r1)",
+    "K_STORE": "li r1, 0x10000\nstore r1, 0(r1)\nload r2, 0(r1)",
+    "K_LI": "li r1, 7",
+    "K_MOV": "li r1, 7\nmov r2, r1",
+    "K_ADD_RR": "li r1, 7\nadd r2, r1, r1",
+    "K_SUB_RR": "li r1, 7\nsub r2, r1, r1",
+    "K_ADD_RI": "li r1, 7\nadd r2, r1, 3",
+    "K_MUL_RR": "li r1, 7\nmul r2, r1, r1",
+    "K_MUL_RI": "li r1, 7\nmul r2, r1, 3",
+    "K_SLL_RR": "li r1, 7\nsll r2, r1, r1",
+    "K_SRL_RR": "li r1, 7\nsrl r2, r1, r1",
+    "K_SLL_RI": "li r1, 7\nsll r2, r1, 3",
+    "K_SRL_RI": "li r1, 7\nsrl r2, r1, 1",
+    "K_AND_RR": "li r1, 7\nand r2, r1, r1",
+    "K_OR_RR": "li r1, 7\nor r2, r1, r1",
+    "K_XOR_RR": "li r1, 7\nxor r2, r1, r1",
+    "K_AND_RI": "li r1, 7\nand r2, r1, 3",
+    "K_OR_RI": "li r1, 7\nor r2, r1, 8",
+    "K_XOR_RI": "li r1, 7\nxor r2, r1, 5",
+    "K_BRANCH": (
+        "li r1, 4\nloop:\nsub r1, r1, 1\nbne r1, zero, loop\n"
+        "beq r1, zero, done\nnop\ndone:"
+    ),
+    "K_JMP": "jmp done\nnop\ndone:",
+    "K_RDCYCLE": (
+        "li r1, 0x10000\nload r2, 0(r1)\nrdcycle r3\n"
+        "and r3, r3, 1\nbeq r3, zero, done\nnop\ndone:"
+    ),
+    "K_CLFLUSH": (
+        "li r1, 0x10000\nload r2, 0(r1)\nclflush 0(r1)\nload r2, 0(r1)"
+    ),
+    "K_PREFETCH": (
+        "li r1, 0x10000\nload r2, 0(r1)\nprefetch 0(r1)\nprefetchw 0(r1)"
+    ),
+    "K_NOP": "nop",
+    "K_FENCE": "li r1, 0x10000\nfence\nload r2, 0(r1)",
+    "K_HALT": "",
+}
+
+
+def test_every_op_kind_has_a_program():
+    kinds = {name for name in vars(decode) if name.startswith("K_")}
+    assert kinds == set(OP_PROGRAMS)
+
+
+@pytest.mark.parametrize("name", sorted(OP_PROGRAMS))
+def test_op_kind_walks_to_simulated_cycles(name):
+    program = assemble(OP_PROGRAMS[name] + "\nhalt\n", name=name)
+    assert getattr(decode, name) in {tup[0] for tup in program.decoded}
+    interval = timing_map(program, 0)
+    assert interval.exact, (name, interval)
+    assert interval.lo == run_program(program).cycles, name
+
+
+# -- random programs: the walk never contradicts the simulator ---------------
+
+#: Lines 64 KiB apart share an L1 set (and evict each other); the small
+#: L2 makes the shared level evict and back-invalidate too.
+LINES = tuple(0x10000 + 64 * k for k in range(4)) + tuple(
+    0x10000 + 0x10000 * k for k in range(1, 3)
+)
+HIERARCHIES = (HierarchyConfig(), HierarchyConfig(l2_size=256, l2_assoc=2))
+
+_random_ops = st.lists(
+    st.tuples(
+        st.sampled_from(
+            ("load", "store", "clflush", "prefetch", "prefetchw", "rdcycle",
+             "fence", "mul")
+        ),
+        st.sampled_from(LINES),
+    ),
+    max_size=14,
+)
+
+
+def random_program(ops, name, results=0x300000):
+    """Straight-line assembly for ``ops``; rdcycle values land in memory."""
+    lines = []
+    for index, (op, addr) in enumerate(ops):
+        if op == "load":
+            lines += [f"li r1, {addr}", "load r2, 0(r1)"]
+        elif op == "store":
+            lines += [f"li r1, {addr}", "store r1, 0(r1)"]
+        elif op in ("clflush", "prefetch", "prefetchw"):
+            lines += [f"li r1, {addr}", f"{op} 0(r1)"]
+        elif op == "rdcycle":
+            lines += ["rdcycle r3", f"li r5, {results + 8 * index}", "store r3, 0(r5)"]
+        elif op == "mul":
+            lines += ["mul r4, r4, 3"]
+        else:
+            lines += [op]
+    return assemble("\n".join(lines + ["halt"]), name=name)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_random_ops, st.sampled_from(HIERARCHIES))
+def test_random_program_cycles_within_walk_bounds(ops, hierarchy):
+    """In-flight fills, evictions and back-invalidations included, the
+    single-core walk's interval contains the simulated cycles (or the walk
+    gives up with ``hi=None``)."""
+    program = random_program(ops, "random")
+    interval = timing_map(program, 0, hierarchy)
+    cycles = run_program(program, SystemConfig(hierarchy=hierarchy)).cycles
+    assert interval.lo <= cycles, (ops, interval, cycles)
+    assert interval.hi is None or cycles <= interval.hi, (ops, interval, cycles)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_random_ops, _random_ops, st.sampled_from(HIERARCHIES))
+def test_random_two_core_walk_reads_the_simulated_cycles(ops0, ops1, hierarchy):
+    """The strict product walk either gives up or reproduces every rdcycle
+    value both cores store, cycle for cycle, under the simulator's
+    interleaving."""
+    programs = [
+        random_program(ops0, "core0", results=0x300000),
+        random_program(ops1, "core1", results=0x310000),
+    ]
+    system = build_system(programs, SystemConfig(num_cores=2, hierarchy=hierarchy))
+    system.run(max_steps=100_000)
+    try:
+        outcome = _walk(programs, {}, CoreConfig(), hierarchy, strict=True)
+    except _Unresolved:
+        return
+    for addr, value in outcome.memory.items():
+        if addr >= 0x300000:
+            assert system.hierarchy.read_word(addr) == value, (ops0, ops1, addr)
