@@ -196,30 +196,34 @@ class CacheState:
     def flush(self, block: int) -> None:
         """Invalidate ``block`` (clflush / back-invalidation): certain miss.
 
-        Remaining lines keep their upper bounds: removing a line never
-        makes another line *older*.  Lower bounds, however, must retreat
-        by one when the flushed line was possibly resident: its freed way
-        absorbs one future insertion without evicting anyone, so every
-        surviving line may effectively be one insertion *younger* than
-        its bound claimed (``tests/test_defense_domain.py`` pins this
-        against a reference LRU that fills invalid ways first).
+        Ages count the more recent *valid* lines of a set (the simulator
+        fills invalid ways first), so removing ``block`` makes every line
+        older than it one younger.  Upper bounds drop by one only for lines
+        certainly older than the flushed line (its upper bound below their
+        lower bound); lower bounds retreat by one for every line not
+        certainly younger, when the flushed line was possibly resident
+        (``tests/test_defense_domain.py`` pins this against a reference LRU
+        that fills invalid ways first).
         """
         s = self.geometry.set_of(block)
-        must = self._must.get(s)
-        if must is not None:
-            must.pop(block, None)
-            if not must:
-                del self._must[s]
-        may = self._may.get(s)
-        if may is not None:
-            freed_way = self.may_universal or block in may
-            may.pop(block, None)
-            if freed_way:
-                for c in may:
-                    if may[c] > 0:
-                        may[c] -= 1
-            if not may:
-                del self._may[s]
+        must = self._must.get(s, {})
+        may = self._may.get(s, {})
+        upper_b = must.pop(block, None)
+        lower_b = may.pop(block, None)
+        if upper_b is not None:
+            for c in must:
+                if upper_b < may.get(c, -1):
+                    must[c] -= 1
+        if lower_b is not None or self.may_universal:
+            assoc = self.geometry.assoc
+            for c in may:
+                younger = lower_b is not None and must.get(c, assoc) < lower_b
+                if may[c] > 0 and not younger:
+                    may[c] -= 1
+        if not must:
+            self._must.pop(s, None)
+        if not may:
+            self._may.pop(s, None)
 
     def forget(self, block: int) -> None:
         """Demote ``block`` from certainly to possibly resident."""
@@ -249,14 +253,13 @@ class CacheState:
                 outer_set & (num_sets - 1), num_sets, outer.geometry.num_sets
             )
         for s in sets:
-            must = self._must.get(s)
-            if must:
-                for block in [b for b in must if outer.classify(b) != HIT]:
-                    self.forget(block)
-            may = self._may.get(s)
-            if may and not self.may_universal:
-                for block in [b for b in may if outer.classify(b) == MISS]:
-                    self.flush(block)
+            resident = {**self._may.get(s, {}), **self._must.get(s, {})}
+            for block in [b for b in resident if outer.classify(b) == MISS]:
+                self.flush(block)
+            for block in [
+                b for b in self._must.get(s, {}) if outer.classify(b) != HIT
+            ]:
+                self.forget(block)
 
     def havoc_access(self) -> None:
         """An access whose address is unknown: it may touch any set.
@@ -362,9 +365,6 @@ class CacheState:
             and self._must == other._must
             and (self.may_universal or self._may == other._may)
         )
-
-    def __hash__(self) -> int:  # pragma: no cover - mutable, not hashed
-        raise TypeError("CacheState is mutable and unhashable")
 
     def __repr__(self) -> str:
         may = "universal" if self.may_universal else dict(self._may)
@@ -538,8 +538,9 @@ class MultiCoreHierarchyState:
             touched = self.l2.copy()
             touched.access(block)
             self.l2 = self.l2.join(touched)
-        l1.access(block)
+        # The L2 fill back-invalidates before the L1 picks its victim way.
         self._enforce_inclusion(block)
+        l1.access(block)
         if l1_class != MISS:
             lo = self.l1_latency
         elif l2_class == MISS:
@@ -674,14 +675,6 @@ class MultiCoreHierarchyState:
             joined.l1s[owner].forget(block)
         return joined
 
-    def leq(self, other: "MultiCoreHierarchyState") -> bool:
-        return (
-            self.num_cores == other.num_cores
-            and self.exclusive == other.exclusive
-            and all(a.leq(b) for a, b in zip(self.l1s, other.l1s))
-            and self.l2.leq(other.l2)
-        )
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MultiCoreHierarchyState):
             return NotImplemented
@@ -692,9 +685,6 @@ class MultiCoreHierarchyState:
             and self.l2 == other.l2
             and self.exclusive == other.exclusive
         )
-
-    def __hash__(self) -> int:  # pragma: no cover - mutable, not hashed
-        raise TypeError("MultiCoreHierarchyState is mutable and unhashable")
 
 
 #: The single-core hierarchy is the one-core case of the same state.

@@ -118,6 +118,38 @@ def test_concrete_path_matches_reference_lru(sequence):
         assert state.classify(block) == expected, (sequence, block)
 
 
+concrete_flush_sequences = st.lists(
+    st.tuples(st.sampled_from(("access", "flush")), st.sampled_from(BLOCKS)),
+    max_size=32,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(concrete_flush_sequences)
+def test_concrete_path_with_flushes_matches_reference_lru(ops):
+    """A flush frees a way the next fill takes: still an exact LRU."""
+    state = CacheState(GEOMETRY)
+    lru = {index: [] for index in range(GEOMETRY.num_sets)}
+    for op, block in ops:
+        ways = lru[GEOMETRY.set_of(block)]
+        if op == "flush":
+            state.flush(block)
+            if block in ways:
+                ways.remove(block)
+            continue
+        expected = HIT if block in ways else MISS
+        assert state.classify(block) == expected, (ops, block)
+        if block in ways:
+            ways.remove(block)
+        ways.insert(0, block)
+        del ways[GEOMETRY.assoc:]
+        state.access(block)
+    for block in BLOCKS:
+        ways = lru[GEOMETRY.set_of(block)]
+        expected = HIT if block in ways else MISS
+        assert state.classify(block) == expected, (ops, block)
+
+
 # -- two cores over one shared L2: concrete latency within abstract bound ----
 
 #: One-set, two-way L2 under roomy L1s: almost every third distinct line

@@ -18,7 +18,7 @@ both against the real simulator:
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import (
@@ -32,8 +32,8 @@ from repro.attacks import scenarios
 from repro.cpu.core import CoreConfig
 from repro.isa import decode
 from repro.isa.assembler import assemble
-from repro.runner import ATTACK_KINDS
 from repro.mem.hierarchy import HierarchyConfig
+from repro.runner import ATTACK_KINDS
 from repro.sim.config import SystemConfig
 from repro.sim.simulator import build_system, run_program
 from repro.workloads.crypto import get_victim, victim_names
@@ -267,6 +267,25 @@ def test_random_program_cycles_within_walk_bounds(ops, hierarchy):
 
 @settings(max_examples=150, deadline=None)
 @given(_random_ops, _random_ops, st.sampled_from(HIERARCHIES))
+@example(
+    # Core 0's load of 0x20000 evicts 0x30000 from the L2; the
+    # back-invalidation frees an L1 way before the L1 picks its victim, so
+    # 0x10000 survives in core 0's L1 and the next load of it hits.
+    [
+        ("prefetchw", 0x10080),
+        ("prefetchw", 0x100C0),
+        ("store", 0x30000),
+        ("prefetch", 0x10000),
+        ("store", 0x30000),
+        ("load", 0x20000),
+        ("load", 0x10000),
+        ("clflush", 0x20000),
+        ("mul", 0x10000),
+        ("rdcycle", 0x10000),
+    ],
+    [("store", 0x20000), ("load", 0x100C0), ("prefetchw", 0x100C0)],
+    HIERARCHIES[1],
+)
 def test_random_two_core_walk_reads_the_simulated_cycles(ops0, ops1, hierarchy):
     """The strict product walk either gives up or reproduces every rdcycle
     value both cores store, cycle for cycle, under the simulator's
