@@ -482,10 +482,11 @@ def _initial_memory(
     return memory
 
 
-#: ``(level, block) -> (ready time, exact)`` of each fill the simulator may
-#: still have in flight: the level is a core id for that core's L1 and
-#: ``-1`` for the shared L2; block ``None`` is an unresolved address.
-_Fills = dict[tuple[int, int | None], tuple[int, bool]]
+#: ``(level, block) -> (ready time, exact, prefetch)`` of each fill the
+#: simulator may still have in flight: the level is a core id for that
+#: core's L1 and ``-1`` for the shared L2; block ``None`` is an unresolved
+#: address; ``prefetch`` marks a software prefetch's fill.
+_Fills = dict[tuple[int, int | None], tuple[int, bool, bool]]
 
 
 def _in_flight(
@@ -495,7 +496,7 @@ def _in_flight(
     block: int | None,
     now_lo: int,
     now_hi: int,
-    exact: bool,
+    prefetch: bool,
 ) -> int:
     """Extra cycles an access pays for meeting a fill still in flight.
 
@@ -503,21 +504,23 @@ def _in_flight(
     the line at issue and the data arrives later.  A tag hit on a line
     still in flight pays ``max(hit latency, ready - now)`` at that level,
     as :meth:`repro.mem.cache.Cache.access` does.  Every other meeting — an
-    MSHR merge on a line evicted while in flight, MSHR back-pressure, an
-    inexact time — is not modelled and raises :class:`_Unresolved`.  Call
-    before the access mutates ``shared``: it records the fill the access
-    starts (``exact`` false for a fill that may be dropped).
+    MSHR merge on a line evicted while in flight, MSHR back-pressure (for
+    a software prefetch: another prefetch fill of its core in flight, which
+    may leave no prefetch slot and get it dropped), an inexact time — is
+    not modelled and raises :class:`_Unresolved`.  Call before the access
+    mutates ``shared``: it records the fill the access starts.
     """
-    for key in [key for key, (ready, _) in fills.items() if ready <= now_lo]:
+    for key in [key for key, (ready, _, _) in fills.items() if ready <= now_lo]:
         del fills[key]
     config = shared.config
-    exact = exact and now_lo == now_hi
+    exact = now_lo == now_hi
     l1_class = UNKNOWN if block is None else shared.l1s[core].classify(block)
     l2_class = UNKNOWN if block is None else shared.l2.classify(block)
     levels = [level for level, _ in fills]
     if l1_class != HIT and (
         levels.count(core) >= config.mshr_entries
         or levels.count(-1) >= config.mshr_entries * shared.num_cores
+        or (prefetch and any(fills[key][2] for key in fills if key[0] == core))
     ):
         raise _Unresolved(f"core {core}: MSHR back-pressure not modelled")
     if fills and (block is None or any(b is None for _, b in fills)):
@@ -537,9 +540,9 @@ def _in_flight(
         latency = shared.l2_latency if l2_class == HIT else shared.memory_latency
         ready = now_hi + latency + shift
         exact = exact and l1_class == MISS
-        fills[(core, block)] = (ready, exact and l2_class != UNKNOWN)
+        fills[(core, block)] = (ready, exact and l2_class != UNKNOWN, prefetch)
         if l2_class != HIT:
-            fills[(-1, block)] = (ready, exact and l2_class == MISS)
+            fills[(-1, block)] = (ready, exact and l2_class == MISS, prefetch)
     return shift
 
 
@@ -648,7 +651,7 @@ def _walk(
                         block = None if addr is None else addr >> block_bits
                         shift = _in_flight(
                             shared, fills, cid, block, time_lo, time_hi,
-                            exact=strict or kind != K_PREFETCH,
+                            prefetch=kind == K_PREFETCH,
                         )
                         if kind == K_STORE and nonblocking:
                             shift = 0

@@ -220,6 +220,8 @@ LINES = tuple(0x10000 + 64 * k for k in range(4)) + tuple(
     0x10000 + 0x10000 * k for k in range(1, 3)
 )
 HIERARCHIES = (HierarchyConfig(), HierarchyConfig(l2_size=256, l2_assoc=2))
+#: A wide OoO hide window leaves load and prefetch fills in flight.
+CORES = (CoreConfig(), CoreConfig(load_hide_cycles=100))
 
 _random_ops = st.lists(
     st.tuples(
@@ -253,20 +255,26 @@ def random_program(ops, name, results=0x300000):
 
 
 @settings(max_examples=150, deadline=None)
-@given(_random_ops, st.sampled_from(HIERARCHIES))
-def test_random_program_cycles_within_walk_bounds(ops, hierarchy):
+@given(_random_ops, st.sampled_from(HIERARCHIES), st.sampled_from(CORES))
+def test_random_program_cycles_within_walk_bounds(ops, hierarchy, core):
     """In-flight fills, evictions and back-invalidations included, the
     single-core walk's interval contains the simulated cycles (or the walk
     gives up with ``hi=None``)."""
     program = random_program(ops, "random")
-    interval = timing_map(program, 0, hierarchy)
-    cycles = run_program(program, SystemConfig(hierarchy=hierarchy)).cycles
+    interval = timing_map(program, 0, hierarchy, core)
+    config = SystemConfig(hierarchy=hierarchy, core=core)
+    cycles = run_program(program, config).cycles
     assert interval.lo <= cycles, (ops, interval, cycles)
     assert interval.hi is None or cycles <= interval.hi, (ops, interval, cycles)
 
 
 @settings(max_examples=150, deadline=None)
-@given(_random_ops, _random_ops, st.sampled_from(HIERARCHIES))
+@given(
+    _random_ops,
+    _random_ops,
+    st.sampled_from(HIERARCHIES),
+    st.sampled_from(CORES),
+)
 @example(
     # Core 0's load of 0x20000 evicts 0x30000 from the L2; the
     # back-invalidation frees an L1 way before the L1 picks its victim, so
@@ -285,8 +293,24 @@ def test_random_program_cycles_within_walk_bounds(ops, hierarchy):
     ],
     [("store", 0x20000), ("load", 0x100C0), ("prefetchw", 0x100C0)],
     HIERARCHIES[1],
+    CORES[0],
 )
-def test_random_two_core_walk_reads_the_simulated_cycles(ops0, ops1, hierarchy):
+@example(
+    # Under the hide window two prefetch fills are still in flight when
+    # the third prefetch issues: the simulator drops it.
+    [
+        ("prefetch", 0x10000),
+        ("prefetch", 0x10040),
+        ("prefetch", 0x10080),
+        ("fence", 0x10000),
+        ("load", 0x10080),
+        ("rdcycle", 0x10000),
+    ],
+    [],
+    HIERARCHIES[0],
+    CORES[1],
+)
+def test_random_two_core_walk_reads_the_simulated_cycles(ops0, ops1, hierarchy, core):
     """The strict product walk either gives up or reproduces every rdcycle
     value both cores store, cycle for cycle, under the simulator's
     interleaving."""
@@ -294,10 +318,11 @@ def test_random_two_core_walk_reads_the_simulated_cycles(ops0, ops1, hierarchy):
         random_program(ops0, "core0", results=0x300000),
         random_program(ops1, "core1", results=0x310000),
     ]
-    system = build_system(programs, SystemConfig(num_cores=2, hierarchy=hierarchy))
+    config = SystemConfig(num_cores=2, hierarchy=hierarchy, core=core)
+    system = build_system(programs, config)
     system.run(max_steps=100_000)
     try:
-        outcome = _walk(programs, {}, CoreConfig(), hierarchy, strict=True)
+        outcome = _walk(programs, {}, core, hierarchy, strict=True)
     except _Unresolved:
         return
     for addr, value in outcome.memory.items():
