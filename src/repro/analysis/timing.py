@@ -576,12 +576,12 @@ def _walk(
     * widen (``strict=False``, one program): unknown values propagate, an
       unresolved address havocs the hierarchy and widens the time
       interval, and software prefetches are droppable.  A branch over an
-      unknown value, a PC escape or step exhaustion gives up (``hi=None``).
+      unknown value, a PC escape, step exhaustion or an unmodelled meeting
+      with a fill in flight (:func:`_in_flight`) gives up (``hi=None``).
     * raise (``strict=True``): any precision loss — an unknown register, a
       widened latency, a give-up — raises :class:`_Unresolved`, and
       software prefetches are completing fills that honour ``prefetchw``
-      (a blocking core pays the full fill latency before its next access,
-      so a prefetch MSHR is always free again by then).
+      (:func:`_in_flight` gives up where a prefetch slot may be taken).
     """
     if not strict and len(programs) != 1:
         raise ValueError("a widening walk has exactly one program")
