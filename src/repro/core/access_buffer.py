@@ -122,17 +122,22 @@ class AccessBuffer:
         """
         self.last_touch = now
         self._clock += 1
-        if block_addr in self.entries:
-            index = self.entries.index(block_addr)
-            self._stamps[index] = self._clock
+        entries = self.entries
+        stamps = self._stamps
+        # ``in`` before ``index``: about four in ten records miss, and a
+        # missing ``list.index`` raises, which costs more than the extra
+        # scan a hit pays here.
+        if block_addr in entries:
+            stamps[entries.index(block_addr)] = self._clock
             return False
-        if len(self.entries) < self.capacity:
-            self.entries.append(block_addr)
-            self._stamps.append(self._clock)
+        if len(entries) < self.capacity:
+            entries.append(block_addr)
+            stamps.append(self._clock)
             return True
-        victim = min(range(len(self.entries)), key=lambda i: self._stamps[i])
-        self.entries[victim] = block_addr
-        self._stamps[victim] = self._clock
+        # The least recently stamped entry; the first one on a tie.
+        victim = stamps.index(min(stamps))
+        entries[victim] = block_addr
+        stamps[victim] = self._clock
         return True
 
     def update_diff_min(self) -> int | None:
@@ -141,8 +146,15 @@ class AccessBuffer:
             self.diff_min = None
             return None
         ordered = sorted(self.entries)
-        self.diff_min = min(b - a for a, b in zip(ordered, ordered[1:]))
-        return self.diff_min
+        previous = ordered[0]
+        diff_min = ordered[1] - previous
+        for block_addr in ordered[1:]:
+            diff = block_addr - previous
+            if diff < diff_min:
+                diff_min = diff
+            previous = block_addr
+        self.diff_min = diff_min
+        return diff_min
 
     # -- protection (Record Protector hooks) -----------------------------------
 

@@ -183,40 +183,10 @@ class Core:
         self._resolve_delay = config.resolve_delay
         self._predictor_entries = config.predictor_entries
         self._spec_window = config.spec_window
-        self._dispatch = self._build_dispatch()
-
-    def _build_dispatch(self) -> list[Any]:
-        """Handler table indexed by the decode-kind integers (``Any`` holes
-        for kinds without a handler: decode emits every kind listed here)."""
-        table: list[Any] = [None] * NUM_KINDS
-        table[K_LOAD] = self._op_load
-        table[K_STORE] = self._op_store
-        table[K_LI] = self._op_li
-        table[K_MOV] = self._op_mov
-        table[K_ADD_RR] = self._op_add_rr
-        table[K_SUB_RR] = self._op_sub_rr
-        table[K_ADD_RI] = self._op_add_ri
-        table[K_MUL_RR] = self._op_mul_rr
-        table[K_MUL_RI] = self._op_mul_ri
-        table[K_SLL_RR] = self._op_sll_rr
-        table[K_SRL_RR] = self._op_srl_rr
-        table[K_SLL_RI] = self._op_sll_ri
-        table[K_SRL_RI] = self._op_srl_ri
-        table[K_AND_RR] = self._op_and_rr
-        table[K_OR_RR] = self._op_or_rr
-        table[K_XOR_RR] = self._op_xor_rr
-        table[K_AND_RI] = self._op_and_ri
-        table[K_OR_RI] = self._op_or_ri
-        table[K_XOR_RI] = self._op_xor_ri
-        table[K_BRANCH] = self._op_branch
-        table[K_JMP] = self._op_jmp
-        table[K_RDCYCLE] = self._op_rdcycle
-        table[K_CLFLUSH] = self._op_clflush
-        table[K_PREFETCH] = self._op_prefetch
-        table[K_NOP] = self._op_nop
-        table[K_FENCE] = self._op_fence
-        table[K_HALT] = self._op_halt
-        return table
+        # One table of plain functions shared by every core (see
+        # :func:`_dispatch_table`); a table of bound methods would tie each
+        # core into a reference cycle with itself.
+        self._dispatch = _DISPATCH
 
     # -- snapshot/restore ---------------------------------------------------------
 
@@ -351,7 +321,7 @@ class Core:
         index = self.pc_index
         if 0 <= index < self._program_len:
             d = self._decoded[index]
-            self._dispatch[d[0]](d)
+            self._dispatch[d[0]](self, d)
             if self._speculating:
                 self._spec_count += 1
                 if self._spec_count >= self._spec_window:
@@ -871,3 +841,44 @@ class Core:
             self.halted = True
             self.time += self._base_cost
             self.stats.instructions_retired += 1
+
+
+def _dispatch_table() -> tuple[Any, ...]:
+    """Handler table indexed by the decode-kind integers (``None`` holes
+    for kinds without a handler: decode emits every kind listed here).
+
+    The entries are the plain ``Core._op_*`` functions, called with the
+    core as their first argument, so one table serves every core.
+    """
+    table: list[Any] = [None] * NUM_KINDS
+    table[K_LOAD] = Core._op_load
+    table[K_STORE] = Core._op_store
+    table[K_LI] = Core._op_li
+    table[K_MOV] = Core._op_mov
+    table[K_ADD_RR] = Core._op_add_rr
+    table[K_SUB_RR] = Core._op_sub_rr
+    table[K_ADD_RI] = Core._op_add_ri
+    table[K_MUL_RR] = Core._op_mul_rr
+    table[K_MUL_RI] = Core._op_mul_ri
+    table[K_SLL_RR] = Core._op_sll_rr
+    table[K_SRL_RR] = Core._op_srl_rr
+    table[K_SLL_RI] = Core._op_sll_ri
+    table[K_SRL_RI] = Core._op_srl_ri
+    table[K_AND_RR] = Core._op_and_rr
+    table[K_OR_RR] = Core._op_or_rr
+    table[K_XOR_RR] = Core._op_xor_rr
+    table[K_AND_RI] = Core._op_and_ri
+    table[K_OR_RI] = Core._op_or_ri
+    table[K_XOR_RI] = Core._op_xor_ri
+    table[K_BRANCH] = Core._op_branch
+    table[K_JMP] = Core._op_jmp
+    table[K_RDCYCLE] = Core._op_rdcycle
+    table[K_CLFLUSH] = Core._op_clflush
+    table[K_PREFETCH] = Core._op_prefetch
+    table[K_NOP] = Core._op_nop
+    table[K_FENCE] = Core._op_fence
+    table[K_HALT] = Core._op_halt
+    return tuple(table)
+
+
+_DISPATCH = _dispatch_table()

@@ -29,8 +29,9 @@ data side.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 from repro.errors import SnapshotError
 from repro.mem.cache import Cache, MemoryPort
@@ -102,6 +103,7 @@ class MemoryHierarchy:
         "_exclusive",
         "ownership_steals",
         "_block_mask",
+        "__weakref__",
     )
 
     def __init__(
@@ -128,7 +130,7 @@ class MemoryHierarchy:
             mshr_entries=self.config.mshr_entries * max(num_cores, 1),
             mshr_max_merges=self.config.mshr_max_merges,
         )
-        self.l2.on_evict = self._back_invalidate
+        self.l2.on_evict = _back_invalidation_hook(weakref.ref(self))
         self.l1ds = [
             Cache(
                 f"L1D{core_id}",
@@ -194,16 +196,16 @@ class MemoryHierarchy:
             ready = l1d.prefetch(request.addr, now, request.component)
             if ready is None:
                 continue
+            block_addr = request.addr & self._block_mask
             # A hardware-prefetch fill is a read by this core: it steals any
             # other core's exclusive (prefetchw-held) copy of the line.
-            self._yield_exclusivity(core_id, self.amap.block_addr(request.addr))
+            if self._exclusive:
+                self._yield_exclusivity(core_id, block_addr)
             issued += 1
             component = request.component
             log.counts[component] = log.counts.get(component, 0) + 1
             if self.config.record_timelines:
-                log.timeline.append(
-                    (now, component, self.amap.block_addr(request.addr))
-                )
+                log.timeline.append((now, component, block_addr))
         return issued
 
     # -- demand interface ----------------------------------------------------
@@ -445,3 +447,22 @@ class MemoryHierarchy:
                     requests = prefetcher.on_back_invalidation(block_addr, now)
                     if requests:
                         self._issue_requests(core_id, now, requests)
+
+
+def _back_invalidation_hook(
+    ref: "weakref.ReferenceType[MemoryHierarchy]",
+) -> Callable[[int, int], None]:
+    """The L2's eviction hook, holding its hierarchy only weakly.
+
+    A bound method would make hierarchy -> L2 -> hook -> hierarchy a
+    reference cycle, so every finished simulation (and its caches' lines)
+    would wait for the cyclic garbage collector instead of being freed as
+    soon as its last reference goes.
+    """
+
+    def back_invalidate(block_addr: int, now: int) -> None:
+        hierarchy = ref()
+        if hierarchy is not None:
+            hierarchy._back_invalidate(block_addr, now)
+
+    return back_invalidate

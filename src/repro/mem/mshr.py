@@ -117,7 +117,25 @@ class MSHRFile:
         self.last_squashed_block = data["last_squashed_block"]
 
     def _purge(self, now: int) -> None:
-        self._entries = [e for e in self._entries if e.ready_time > now]
+        """Drop the fills completed by ``now``, keeping the rest in order.
+
+        Most calls find nothing expired, so the list is rebuilt only once
+        an expired entry is actually seen.
+        """
+        entries = self._entries
+        for entry in entries:
+            if entry.ready_time <= now:
+                self._entries = [e for e in entries if e.ready_time > now]
+                return
+
+    def _prefetch_inflight(self) -> int:
+        """Entries holding a prefetch-pool slot (squashed-into demand fills
+        included)."""
+        inflight = 0
+        for entry in self._entries:
+            if entry.is_prefetch or entry.borrows_prefetch_slot:
+                inflight += 1
+        return inflight
 
     def occupancy(self, now: int) -> int:
         """Number of fills still outstanding at ``now``."""
@@ -150,10 +168,7 @@ class MSHRFile:
         complete, so they count against the pool here.
         """
         self._purge(now)
-        inflight = sum(
-            1 for e in self._entries if e.is_prefetch or e.borrows_prefetch_slot
-        )
-        return inflight < self.prefetch_entries
+        return self._prefetch_inflight() < self.prefetch_entries
 
     def merge(self, block_addr: int, now: int, demand: bool = True) -> int | None:
         """Try to merge an access to an in-flight line.
@@ -262,10 +277,7 @@ class MSHRFile:
         dropped because no MSHR was free.
         """
         self._purge(now)
-        inflight = sum(
-            1 for e in self._entries if e.is_prefetch or e.borrows_prefetch_slot
-        )
-        if inflight >= self.prefetch_entries:
+        if self._prefetch_inflight() >= self.prefetch_entries:
             self.prefetch_drops += 1
             return None
         ready_time = now + fill_time

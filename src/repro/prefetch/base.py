@@ -19,9 +19,14 @@ from typing import Any, Callable
 from repro.snapshot import require_keys
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Observation:
     """One demand access as seen by an L1D prefetcher.
+
+    A plain slotted record rather than a frozen dataclass: the hierarchy
+    builds one per demand access, and frozen construction (one
+    ``object.__setattr__`` per field) costs measurably on that path.
+    Prefetchers treat it as read-only.
 
     Attributes:
         op: ``"load"`` or ``"store"``.
@@ -47,9 +52,12 @@ class Observation:
     speculative: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PrefetchRequest:
     """A single-line prefetch request raised by a prefetcher.
+
+    Slotted and not frozen, like :class:`Observation`, for construction
+    cost; the hierarchy only reads it.
 
     Attributes:
         addr: byte address anywhere in the target line.

@@ -21,6 +21,8 @@ from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Iterable
 
 from repro.errors import ConfigError
+from repro.isa.program import Program
+from repro.runner.job import SimJob
 from repro.runner.pool import WorkerPool, default_workers
 from repro.runner.store import ResultStore
 
@@ -95,7 +97,7 @@ def run_batch(
     if pool is not None:
         outputs = pool.run([runnable for _, runnable, _ in units])
     elif workers == 1 or len(units) <= 1:
-        outputs = [runnable.run() for _, runnable, _ in units]
+        outputs = _run_inline([runnable for _, runnable, _ in units])
     else:
         with ProcessPoolExecutor(max_workers=min(workers, len(units))) as ppe:
             futures = [ppe.submit(_execute, runnable) for _, runnable, _ in units]
@@ -114,6 +116,34 @@ def run_batch(
                 store.put(key, job, results[key])
 
     return [results[key] for key in keys]
+
+
+def _run_inline(runnables: list[Any]) -> list[Any]:
+    """Run units in this process, in order, building each program once.
+
+    ``SimJob``s with the same :meth:`~repro.runner.job.SimJob.program_key`
+    share one program build; it is dropped after the last job that uses
+    it, so at most the batch's distinct programs are alive at once and a
+    finished batch holds none.
+    """
+    last_use: dict[tuple[str, float], int] = {}
+    for index, runnable in enumerate(runnables):
+        if isinstance(runnable, SimJob):
+            last_use[runnable.program_key()] = index
+    programs: dict[tuple[str, float], Program] = {}
+    outputs: list[Any] = []
+    for index, runnable in enumerate(runnables):
+        if not isinstance(runnable, SimJob):
+            outputs.append(runnable.run())
+            continue
+        key = runnable.program_key()
+        program = programs.get(key)
+        if program is None:
+            program = programs[key] = runnable.build_program()
+        outputs.append(runnable.run(program))
+        if last_use[key] == index:
+            del programs[key]
+    return outputs
 
 
 def _plan_units(

@@ -51,6 +51,7 @@ from repro.attacks import (
 from repro.attacks.layout import AttackOptions
 from repro.cpu.system import RunResult
 from repro.errors import ConfigError
+from repro.isa.program import Program
 from repro.sim.config import SystemConfig
 from repro.sim.simulator import run_program
 from repro.workloads import get_workload
@@ -200,8 +201,19 @@ class SimJob:
     def key(self) -> str:
         return job_key(self)
 
-    def run(self) -> SimResult:
-        program = get_workload(self.workload).program(self.scale)
+    def program_key(self) -> tuple[str, float]:
+        """What :meth:`build_program` depends on: jobs with equal keys run
+        the same program, so a batch may build it once and share it."""
+        return (self.workload, self.scale)
+
+    def build_program(self) -> Program:
+        return get_workload(self.workload).program(self.scale)
+
+    def run(self, program: Program | None = None) -> SimResult:
+        """Simulate the workload; ``program`` is a prebuilt
+        :meth:`build_program` result to reuse (a run never modifies it)."""
+        if program is None:
+            program = self.build_program()
         result = run_program(
             program,
             self.system,

@@ -18,9 +18,11 @@ ones age out.  :meth:`ResultStore.clear` remains the manual escape hatch.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import pathlib
+import threading
 from typing import Any
 
 from repro.errors import ConfigError
@@ -117,10 +119,19 @@ class ResultStore:
             "result": result.to_json(),
         }
         # Write-then-rename so a crashed run never leaves a torn file that
-        # a later get() would have to classify.
-        tmp = self._path(key).with_suffix(".json.tmp")
-        tmp.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
-        os.replace(tmp, self._path(key))
+        # a later get() would have to classify.  The temporary name is
+        # unique to this writer, process and thread (and ends in ``.tmp``,
+        # so the ``*.json`` globs never see it): two writers putting the
+        # same key each rename their own complete file, and the last
+        # rename wins.
+        tmp = self.root / f"{key}.{os.getpid()}-{threading.get_ident()}.tmp"
+        try:
+            tmp.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
+            os.replace(tmp, self._path(key))
+        except BaseException:
+            with contextlib.suppress(OSError):
+                tmp.unlink()
+            raise
         if self.max_bytes is not None:
             self._evict(keep=self._path(key))
 

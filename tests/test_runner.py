@@ -9,6 +9,8 @@ field sets structurally so a newly added knob can never fall out again.
 """
 
 import dataclasses
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import pytest
@@ -28,6 +30,7 @@ from repro.runner import (
     run_batch,
 )
 from repro.sim.config import PrefetcherSpec, SystemConfig
+from repro.workloads import REGISTRY
 
 # Fields whose values are constrained (enums, registry names): a generic
 # "+1"/flip perturbation would be invalid, so supply a valid alternative.
@@ -206,6 +209,88 @@ def test_run_batch_preserves_order_and_dedups():
     assert results[0].cycles == results[2].cycles
     assert results[0] is results[2], "duplicate keys run once"
     assert results[1].cycles != results[0].cycles
+
+
+def _counting_builders(monkeypatch, names):
+    """Wrap each named workload's builder; returns the per-name call counts."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        workload = REGISTRY[name]
+
+        def builder(scale, _name=name, _build=workload.builder):
+            calls[_name] += 1
+            return _build(scale)
+
+        monkeypatch.setitem(REGISTRY, name, replace(workload, builder=builder))
+    return calls
+
+
+def test_run_batch_builds_each_program_once(monkeypatch):
+    names = ["999.specrand", "462.libquantum"]
+    specs = [
+        PrefetcherSpec(kind="none"),
+        PrefetcherSpec(kind="tagged"),
+        PrefetcherSpec(kind="prefender", prefender=PrefenderConfig.full(8)),
+    ]
+    # Interleaved, so each program must outlive jobs of the other one.
+    jobs = [common.sim_job(name, spec, 0.05) for spec in specs for name in names]
+    calls = _counting_builders(monkeypatch, names)
+    batched = run_batch(jobs)
+    assert calls == dict.fromkeys(names, 1)
+    alone = [job.run() for job in jobs]
+    assert [result.to_json() for result in batched] == [
+        result.to_json() for result in alone
+    ]
+
+
+def _program_state(program):
+    """Everything a run reads from a program, as comparable values."""
+    return (
+        program.decoded,
+        [
+            (ins.op, ins.rd, ins.rs0, ins.rs1, ins.imm, ins.target)
+            for ins in program.instructions
+        ],
+        [(seg.base, tuple(seg.values), seg.stride) for seg in program.data_segments],
+    )
+
+
+def test_shared_program_is_not_modified_by_a_run():
+    job = common.sim_job(
+        "429.mcf",
+        PrefetcherSpec(kind="prefender", prefender=PrefenderConfig.full(8)),
+        0.05,
+    )
+    program = job.build_program()
+    program.finalize()
+    before = _program_state(program)
+    first = job.run(program)
+    baseline = replace(job, system=common.perf_config(PrefetcherSpec(kind="none")))
+    baseline.run(program)
+    assert _program_state(program) == before
+    assert job.run(program).to_json() == first.to_json() == job.run().to_json()
+
+
+def _put_many(root, key, result, count):
+    store = ResultStore(root)
+    for _ in range(count):
+        store.put(key, {"synthetic": key}, result)
+
+
+def test_concurrent_puts_of_one_key_leave_one_valid_entry(tmp_path):
+    result, _ = _filler_results(tmp_path)
+    root = tmp_path / "shared"
+    spawn = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=4, mp_context=spawn) as pool:
+        futures = [
+            pool.submit(_put_many, root, "same-key", result, 40) for _ in range(4)
+        ]
+        for future in futures:
+            future.result(timeout=120)  # re-raises any writer's exception
+    store = ResultStore(root)
+    assert len(store) == 1
+    assert sorted(path.name for path in root.iterdir()) == ["same-key.json"]
+    assert store.get("same-key").to_json() == result.to_json()
 
 
 def test_run_batch_rejects_negative_workers():
