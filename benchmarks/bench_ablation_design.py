@@ -11,16 +11,15 @@ choices carry the defense:
   distinct noise PCs restore the AT defense — buffer count is a (costly)
   alternative to the Record Protector.
 
-Each sweep declares its full attack grid up front and submits it as one
-:func:`repro.runner.run_batch`; because the batch keys hash *every*
-``PrefenderConfig`` field, specs differing only in ``at_threshold`` (the
-knob the old experiment memoiser dropped) can never share a result.
+The sweeps run the attack class directly (not through the runner): the
+ST-window check reads each run's per-component prefetch counts, which only
+the full :class:`~repro.attacks.AttackOutcome` carries.
 """
 
 from dataclasses import replace
 
+from repro.attacks import FlushReloadAttack
 from repro.core.config import PrefenderConfig
-from repro.runner import AttackJob, run_batch
 from repro.sim.config import PrefetcherSpec, SystemConfig
 
 
@@ -34,19 +33,17 @@ def test_at_threshold_sweep(benchmark):
     thresholds = (2, 4, 6)
 
     def sweep():
-        jobs = [
-            AttackJob.build(
-                "flush-reload",
+        return {
+            threshold: FlushReloadAttack().run(
                 prefender_system(
                     replace(
                         PrefenderConfig.at_only().with_buffers(8),
                         at_threshold=threshold,
                     )
-                ),
+                )
             )
             for threshold in thresholds
-        ]
-        return dict(zip(thresholds, run_batch(jobs)))
+        }
 
     results = benchmark.pedantic(sweep, rounds=1, iterations=1)
     for threshold, outcome in results.items():
@@ -59,15 +56,12 @@ def test_buffer_count_vs_c3_noise(benchmark):
     """More buffers than noise PCs is the brute-force alternative to RP."""
 
     def sweep():
-        jobs = [
-            AttackJob.build(
-                "flush-reload",
-                prefender_system(PrefenderConfig.at_only().with_buffers(count)),
-                noise_c3=True,
+        return [
+            FlushReloadAttack(noise_c3=True).run(
+                prefender_system(PrefenderConfig.at_only().with_buffers(count))
             )
             for count in (8, 32)
         ]
-        return run_batch(jobs)
 
     few, many = benchmark.pedantic(sweep, rounds=1, iterations=1)
     assert few.attack_succeeded, "8 buffers thrashed by 12 noise PCs"
@@ -79,21 +73,9 @@ def test_st_scale_window_boundary(benchmark):
 
     def run():
         # scale == 64 == cacheline: ST must stay silent (sc not > cacheline).
-        jobs = [
-            AttackJob.build(
-                "flush-reload",
-                prefender_system(PrefenderConfig.st_only()),
-                secret=20,
-            ),
-            AttackJob.build(
-                "flush-reload",
-                prefender_system(PrefenderConfig.st_only()),
-                secret=20,
-                scale=64,
-                num_indices=64,
-            ),
-        ]
-        outcome, at_64 = run_batch(jobs)
+        system = prefender_system(PrefenderConfig.st_only())
+        outcome = FlushReloadAttack(secret=20).run(system)
+        at_64 = FlushReloadAttack(secret=20, scale=64, num_indices=64).run(system)
         inrange = outcome.run_result.prefetch_counts[0].get("st", 0)
         silent = at_64.run_result.prefetch_counts[0].get("st", 0)
         return inrange, silent

@@ -61,17 +61,15 @@ def replay_group_key(job: ScenarioJob) -> str:
 class ScenarioReplayJob:
     """One warm-snapshot task: a cell's trial jobs served off one image.
 
-    Shaped like any other runner job (``run()``, ``cacheable``) so it rides
-    the existing pool/executor backends, but ``run`` returns one
-    ``ScenarioProbe`` *per member job*, in member order; the executor fans
-    the list back out to the members' content keys (which also feed the
-    disk store, so replayed probes cache exactly like rebuilt ones).
+    Shaped like any other runner job (``run()``) so it rides the existing
+    pool/inline backends, but ``run`` returns one ``ScenarioProbe`` *per
+    member job*, in member order; the executor fans the list back out to
+    the members' content keys (which also feed the disk store, so replayed
+    probes cache exactly like rebuilt ones).  The group task itself is
+    never stored — its members are, per key.
     """
 
     jobs: tuple[ScenarioJob, ...]
-
-    #: The group task itself is never stored — its members are, per-key.
-    cacheable = False
 
     def run(self) -> list[ScenarioProbe]:
         return replay_group(list(self.jobs))

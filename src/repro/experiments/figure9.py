@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.experiments.common import security_spec
-from repro.runner import AttackJob, run_batch
+from repro.runner import ATTACK_KINDS
 from repro.sim.config import SystemConfig
 from repro.utils.textplot import ascii_series
 
@@ -45,17 +45,18 @@ def _binned(timeline: list[tuple[int, str, int]]) -> dict[str, list[tuple[float,
     return series
 
 
-def run(noisy: bool = False, jobs: int = 1) -> list[TimelinePanel]:
-    """Panels a-c (``noisy=False``) or d-f (``noisy=True``)."""
+def run(noisy: bool = False) -> list[TimelinePanel]:
+    """Panels a-c (``noisy=False``) or d-f (``noisy=True``).
+
+    The attacks run directly, not through the runner: the panels need each
+    run's full prefetch timeline, which runner results do not carry.
+    """
     defense = "FULL" if noisy else "ST+AT"
     options = {"noise_c3": True, "noise_c4": True} if noisy else {}
     system = SystemConfig(prefetcher=security_spec(defense))
-    attack_jobs = [
-        AttackJob.build(kind, system, **options) for kind in ATTACKS.values()
-    ]
-    outcomes = run_batch(attack_jobs, workers=jobs)
     panels = []
-    for attack_name, outcome in zip(ATTACKS, outcomes):
+    for attack_name, kind in ATTACKS.items():
+        outcome = ATTACK_KINDS[kind](**options).run(system)
         timeline = outcome.run_result.prefetch_timelines[0]
         series = _binned(timeline)
         totals = {component: points[-1][1] for component, points in series.items()}

@@ -29,9 +29,6 @@ from repro.runner.job import (
     ADVERSARIAL_PREFETCH_VARIANTS,
     ATTACK_KINDS,
     KEY_VERSION,
-    AttackJob,
-    AttackProbe,
-    AttackProbeJob,
     ScenarioJob,
     ScenarioProbe,
     SimJob,
@@ -46,9 +43,6 @@ __all__ = [
     "ADVERSARIAL_PREFETCH_FAMILY",
     "ADVERSARIAL_PREFETCH_VARIANTS",
     "ATTACK_KINDS",
-    "AttackJob",
-    "AttackProbe",
-    "AttackProbeJob",
     "DEFAULT_CACHE_DIR",
     "KEY_VERSION",
     "ResultStore",

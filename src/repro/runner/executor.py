@@ -6,18 +6,21 @@ optional disk store, and shards the rest across worker processes.
 Results always come back in input order, so a parallel table regeneration
 is byte-identical to a sequential one.
 
-Two execution backends share that contract:
+Both parallel paths run on a :class:`~repro.runner.pool.WorkerPool`:
 
-* default — a throwaway ``ProcessPoolExecutor`` per call, right for a
-  single large batch (``python -m repro table 4 --jobs 4``);
-* ``pool=`` — a caller-owned :class:`~repro.runner.pool.WorkerPool` whose
-  warm workers are reused across *successive* ``run_batch`` calls, right
-  for sweeps that submit many batches (``python -m repro frontier``).
+* default — a short-lived pool of ``min(workers, units)`` processes,
+  closed when the batch ends, right for a single large batch
+  (``python -m repro table 4 --jobs 4``);
+* ``pool=`` — a caller-owned pool whose warm workers are reused across
+  *successive* ``run_batch`` calls, right for sweeps that submit many
+  batches (``python -m repro frontier``).
+
+Every job result is JSON-able, so with a store every job is looked up
+before running and written after.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Iterable
 
 from repro.errors import ConfigError
@@ -45,17 +48,16 @@ def run_batch(
 
     Args:
         jobs: sequence of :class:`~repro.runner.job.SimJob` /
-            :class:`~repro.runner.job.AttackJob` /
-            :class:`~repro.runner.job.AttackProbeJob` (anything with
-            ``key()``, ``run()`` and a ``cacheable`` flag).  Duplicate keys
+            :class:`~repro.runner.job.ScenarioJob` (anything with ``key()``
+            and ``run()`` whose result has ``to_json()``).  Duplicate keys
             are run once and the result shared.
         workers: process count; ``1`` runs inline (no pool), ``0`` means
             one worker per CPU core.  Ignored when ``pool`` is given.
         store: optional on-disk store consulted before running and updated
-            after, for ``cacheable`` jobs only.
+            after.
         pool: optional persistent :class:`~repro.runner.pool.WorkerPool`;
             its warm workers execute the batch (and stay alive for the
-            caller's next batch) instead of a freshly forked executor.
+            caller's next batch) instead of a short-lived pool.
         reuse_snapshots: serve eligible ``ScenarioJob`` trials off one
             warmed system snapshot per (attack, victim, defense) cell
             (:mod:`repro.attacks.replay`) instead of rebuilding the system
@@ -79,7 +81,7 @@ def run_batch(
     for key, job in zip(keys, jobs):
         if key in results or key in pending_keys:
             continue
-        if store is not None and job.cacheable:
+        if store is not None:
             cached = store.get(key)
             if cached is not None:
                 results[key] = cached
@@ -94,14 +96,14 @@ def run_batch(
     target_tasks = pool.workers if pool is not None else workers
     units = _plan_units(pending, reuse_snapshots, target_tasks)
 
+    runnables = [runnable for _, runnable, _ in units]
     if pool is not None:
-        outputs = pool.run([runnable for _, runnable, _ in units])
+        outputs = pool.run(runnables)
     elif workers == 1 or len(units) <= 1:
-        outputs = _run_inline([runnable for _, runnable, _ in units])
+        outputs = _run_inline(runnables)
     else:
-        with ProcessPoolExecutor(max_workers=min(workers, len(units))) as ppe:
-            futures = [ppe.submit(_execute, runnable) for _, runnable, _ in units]
-            outputs = [future.result() for future in futures]
+        with WorkerPool(min(workers, len(units))) as batch_pool:
+            outputs = batch_pool.run(runnables)
 
     for (unit_keys, _, is_group), output in zip(units, outputs):
         if is_group:
@@ -112,8 +114,7 @@ def run_batch(
 
     if store is not None:
         for key, job in pending:
-            if job.cacheable:
-                store.put(key, job, results[key])
+            store.put(key, job, results[key])
 
     return [results[key] for key in keys]
 
@@ -201,8 +202,3 @@ def _split_groups(
         middle = len(largest) // 2
         groups.extend([largest[:middle], largest[middle:]])
     return groups
-
-
-def _execute(job: Any) -> Any:
-    """Module-level trampoline so jobs pickle cleanly into pool workers."""
-    return job.run()

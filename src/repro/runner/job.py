@@ -10,25 +10,22 @@ spec, PREFENDER knobs, core timing, hierarchy geometry), so a newly added
 config field participates in the key automatically and can never fall out
 of it again (``tests/test_runner.py`` asserts this field-by-field).
 
-Three job kinds cover everything the experiments run:
+Two job kinds cover everything the experiments run, and both return
+JSON-serialisable results, so every result can live in the on-disk store:
 
 * :class:`SimJob` — one workload program on one system config
-  (:func:`repro.sim.simulator.run_program`); returns a JSON-serialisable
-  :class:`SimResult`, so results can live in the on-disk store.
-* :class:`AttackJob` — one attack (by registry name) against one system
-  config; returns the full :class:`repro.attacks.AttackOutcome` (picklable
-  but not JSON-able, so attack jobs never hit the disk store).
-* :class:`AttackProbeJob` — the same attack run reduced to its verdict
-  (:class:`AttackProbe`: succeeded?, candidate set, cycles).  Probes *are*
-  JSON-able, so frontier sweeps can serve repeat security grids warm from
-  the disk store.
-* :class:`ScenarioJob` — one attack × crypto-victim × defense trial for
-  one secret (:mod:`repro.attacks.scenarios` builds the grids).  Its
+  (:func:`repro.sim.simulator.run_program`); returns a :class:`SimResult`.
+* :class:`ScenarioJob` — one attack (by registry name) against one system
+  config, optionally on a crypto victim for one trial secret
+  (:mod:`repro.attacks.scenarios` builds those grids).  Its
   :class:`ScenarioProbe` scores the candidate set against the victim's
-  *expected access footprint* (multi-line victims are recovered when the
-  attacker isolates exactly those lines) and keeps the raw latencies, so
-  the leakage scorer can estimate mutual information.  JSON-able and
-  disk-cacheable.
+  *expected access footprint* (the paper's direct victim touches only the
+  secret's index; multi-line victims are recovered when the attacker
+  isolates exactly those lines) and keeps the raw latencies, so the
+  leakage scorer can estimate mutual information.
+
+Callers that need a full :class:`~repro.cpu.system.RunResult` (Fig. 9's
+prefetch timelines) run the attack class directly instead.
 """
 
 from __future__ import annotations
@@ -43,11 +40,13 @@ from repro.attacks import (
     AdversarialPrefetchA1,
     AdversarialPrefetchA2,
     AttackOutcome,
+    CacheAttack,
     EvictReloadAttack,
     EvictTimeAttack,
     FlushReloadAttack,
     PrimeProbeAttack,
 )
+from repro.attacks.base import verdict_line
 from repro.attacks.layout import AttackOptions
 from repro.cpu.system import RunResult
 from repro.errors import ConfigError
@@ -64,7 +63,7 @@ from repro.workloads import get_workload
 KEY_VERSION = 2
 
 #: Attack registry names (shared with the CLI's ``attack`` command).
-ATTACK_KINDS = {
+ATTACK_KINDS: dict[str, type[CacheAttack]] = {
     "flush-reload": FlushReloadAttack,
     "evict-reload": EvictReloadAttack,
     "prime-probe": PrimeProbeAttack,
@@ -120,8 +119,8 @@ class SimResult:
     """JSON-serialisable summary of one simulation run.
 
     Everything the performance tables and figures read; prefetch timelines
-    are deliberately excluded (they are large, and the only consumer —
-    Fig. 9 — runs attacks, whose jobs return full outcomes).
+    are deliberately excluded (they are large, and their only consumer —
+    Fig. 9 — runs its attacks directly, outside the runner).
     """
 
     cycles: int
@@ -191,9 +190,6 @@ class SimJob:
     sample_interval: int | None = None
     max_steps: int = 20_000_000
 
-    #: SimResults are JSON round-trippable, so the disk store may keep them.
-    cacheable = True
-
     def __post_init__(self) -> None:
         if self.scale <= 0:
             raise ConfigError(f"workload scale must be > 0, got {self.scale}")
@@ -223,153 +219,6 @@ class SimJob:
         return SimResult.from_run(result)
 
 
-@dataclass(frozen=True)
-class AttackJob:
-    """One attack (by registry name) against one system configuration.
-
-    Attributes:
-        attack: key into :data:`ATTACK_KINDS` (e.g. ``"flush-reload"``).
-        system: the defense under attack; ``num_cores`` and speculation
-            settings are adjusted by the attack itself at run time.
-        options: resolved :class:`~repro.attacks.layout.AttackOptions`;
-            ``None`` defers to the attack class's defaults — prefer
-            :meth:`build`, which resolves the merge *into the key*.
-        max_steps: simulation step budget.
-
-    For disk-cacheable attack verdicts, see :class:`AttackProbeJob`.
-    """
-
-    attack: str
-    system: SystemConfig = field(default_factory=SystemConfig)
-    options: AttackOptions | None = None
-    max_steps: int = 20_000_000
-
-    #: AttackOutcomes carry a full RunResult; pool-picklable, not JSON-able.
-    cacheable = False
-
-    def __post_init__(self) -> None:
-        if self.attack not in ATTACK_KINDS:
-            raise ConfigError(
-                f"unknown attack {self.attack!r}; "
-                f"choose from {sorted(ATTACK_KINDS)}"
-            )
-
-    @classmethod
-    def build(
-        cls, attack: str, system: SystemConfig | None = None, **option_overrides: Any
-    ) -> "AttackJob":
-        """Job with the attack class's default options merged in.
-
-        Attack classes carry per-class option defaults (e.g. Prime+Probe's
-        64 monitored sets); instantiating one resolves the merge so the job
-        key reflects the *effective* options.
-        """
-        if attack not in ATTACK_KINDS:
-            raise ConfigError(
-                f"unknown attack {attack!r}; choose from {sorted(ATTACK_KINDS)}"
-            )
-        merged = ATTACK_KINDS[attack](**option_overrides).options
-        return cls(attack=attack, system=system or SystemConfig(), options=merged)
-
-    def key(self) -> str:
-        return job_key(self)
-
-    def run(self) -> AttackOutcome:
-        attack_cls = ATTACK_KINDS[self.attack]
-        attack = attack_cls() if self.options is None else attack_cls(self.options)
-        return attack.run(self.system, max_steps=self.max_steps)
-
-
-@dataclass
-class AttackProbe:
-    """JSON-serialisable verdict of one attack run.
-
-    Everything the frontier needs from an attack — did it uniquely recover
-    the secret, which indices stayed candidates, and how many cycles the
-    run took — without the full (non-JSON-able) ``RunResult`` an
-    :class:`~repro.attacks.AttackOutcome` carries.  Probes therefore
-    qualify for the on-disk :class:`~repro.runner.store.ResultStore`.
-    """
-
-    attack: str
-    challenges: str
-    secret: int
-    succeeded: bool
-    candidates: list[int]
-    cycles: int
-
-    def to_json(self) -> dict[str, Any]:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_json(cls, data: dict[str, Any]) -> "AttackProbe":
-        return cls(
-            attack=str(data["attack"]),
-            challenges=str(data["challenges"]),
-            secret=int(data["secret"]),
-            succeeded=bool(data["succeeded"]),
-            candidates=[int(index) for index in data["candidates"]],
-            cycles=int(data["cycles"]),
-        )
-
-
-@dataclass(frozen=True)
-class AttackProbeJob:
-    """One attack run reduced to its storable :class:`AttackProbe` verdict.
-
-    Same inputs as :class:`AttackJob` (and a distinct content key — the
-    fingerprint includes the class name), but the result drops the raw
-    ``RunResult``, so frontier-scale security grids can be cached on disk
-    and served warm on the next invocation.
-    """
-
-    attack: str
-    system: SystemConfig = field(default_factory=SystemConfig)
-    options: AttackOptions | None = None
-    max_steps: int = 20_000_000
-
-    #: AttackProbes are JSON round-trippable, so the disk store may keep them.
-    cacheable = True
-
-    def __post_init__(self) -> None:
-        if self.attack not in ATTACK_KINDS:
-            raise ConfigError(
-                f"unknown attack {self.attack!r}; "
-                f"choose from {sorted(ATTACK_KINDS)}"
-            )
-
-    @classmethod
-    def build(
-        cls, attack: str, system: SystemConfig | None = None, **option_overrides: Any
-    ) -> "AttackProbeJob":
-        """Probe job with the attack class's default options merged in.
-
-        Mirrors :meth:`AttackJob.build` so the job key reflects the
-        *effective* options, not just the overrides.
-        """
-        inner = AttackJob.build(attack, system, **option_overrides)
-        return cls(attack=inner.attack, system=inner.system, options=inner.options)
-
-    def key(self) -> str:
-        return job_key(self)
-
-    def run(self) -> AttackProbe:
-        outcome = AttackJob(
-            attack=self.attack,
-            system=self.system,
-            options=self.options,
-            max_steps=self.max_steps,
-        ).run()
-        return AttackProbe(
-            attack=self.attack,
-            challenges=outcome.challenges,
-            secret=outcome.secret,
-            succeeded=outcome.attack_succeeded,
-            candidates=list(outcome.candidates),
-            cycles=outcome.run_result.cycles,
-        )
-
-
 @dataclass
 class ScenarioProbe:
     """JSON-serialisable outcome of one attack × victim × defense trial.
@@ -395,6 +244,17 @@ class ScenarioProbe:
     cycles: int
     defense_stats: list[dict[str, int]]
 
+    def summary(self, defense_label: str) -> str:
+        """One verdict line, in :meth:`AttackOutcome.summary`'s format."""
+        return verdict_line(
+            ATTACK_KINDS[self.attack].name,
+            self.challenges,
+            defense_label,
+            self.succeeded,
+            self.candidates,
+            self.secret,
+        )
+
     def to_json(self) -> dict[str, Any]:
         return dataclasses.asdict(self)
 
@@ -417,9 +277,18 @@ class ScenarioProbe:
         )
 
 
+def _attack_class(attack: str) -> type[CacheAttack]:
+    """The registered attack class, or a ConfigError naming the choices."""
+    if attack not in ATTACK_KINDS:
+        raise ConfigError(
+            f"unknown attack {attack!r}; choose from {sorted(ATTACK_KINDS)}"
+        )
+    return ATTACK_KINDS[attack]
+
+
 @dataclass(frozen=True)
 class ScenarioJob:
-    """One attack on one crypto victim for one secret, scored by footprint.
+    """One attack against one system configuration, scored by footprint.
 
     The victim name and trial secret live inside ``options`` (both are
     :class:`~repro.attacks.layout.AttackOptions` fields), so the content
@@ -433,60 +302,54 @@ class ScenarioJob:
     options: AttackOptions = field(default_factory=AttackOptions)
     max_steps: int = 20_000_000
 
-    #: ScenarioProbes are JSON round-trippable; scenario grids cache warm.
-    cacheable = True
-
     def __post_init__(self) -> None:
-        if self.attack not in ATTACK_KINDS:
-            raise ConfigError(
-                f"unknown attack {self.attack!r}; "
-                f"choose from {sorted(ATTACK_KINDS)}"
-            )
+        _attack_class(self.attack)
 
     @classmethod
     def build(
         cls,
         attack: str,
-        victim: str,
-        secret: int,
+        victim: str | None = None,
+        secret: int | None = None,
         system: SystemConfig | None = None,
         **option_overrides: Any,
     ) -> "ScenarioJob":
-        """Job with victim geometry and attack defaults resolved in.
+        """Job with the attack's option defaults and victim geometry resolved in.
 
-        The victim dictates the probe-array size its index map assumes;
-        the attack class's own option defaults fill the rest, exactly as
-        :meth:`AttackJob.build` does.
+        Attack classes carry per-class option defaults (e.g. Prime+Probe's
+        48 monitored sets and secret 37); instantiating one resolves the
+        merge, so the job key reflects the *effective* options.  A crypto
+        ``victim`` also dictates the probe-array size its index map
+        assumes.  Without ``victim`` the attack runs the paper's direct
+        victim; without ``secret``, on its default secret.
         """
         from repro.workloads.crypto import get_victim
 
-        descriptor = get_victim(victim)
-        if not 0 <= secret < descriptor.secret_space:
-            raise ConfigError(
-                f"secret {secret} outside victim {victim!r} space "
-                f"0..{descriptor.secret_space - 1}"
-            )
-        inner = AttackJob.build(
-            attack,
-            system,
-            victim=victim,
-            secret=secret,
-            num_indices=descriptor.num_indices,
-            **option_overrides,
-        )
-        return cls(attack=inner.attack, system=inner.system, options=inner.options)
+        attack_cls = _attack_class(attack)
+        if secret is not None:
+            option_overrides["secret"] = secret
+        if victim is None:
+            options = attack_cls(**option_overrides).options
+        else:
+            descriptor = get_victim(victim)
+            options = attack_cls(
+                victim=victim, num_indices=descriptor.num_indices, **option_overrides
+            ).options
+            if not options.secret < descriptor.secret_space:
+                raise ConfigError(
+                    f"secret {options.secret} outside victim {victim!r} space "
+                    f"0..{descriptor.secret_space - 1}"
+                )
+        return cls(attack=attack, system=system or SystemConfig(), options=options)
 
     def key(self) -> str:
         return job_key(self)
 
     def run(self) -> ScenarioProbe:
-        outcome = AttackJob(
-            attack=self.attack,
-            system=self.system,
-            options=self.options,
-            max_steps=self.max_steps,
-        ).run()
-        return self.probe_from_outcome(outcome)
+        attack = ATTACK_KINDS[self.attack](self.options)
+        return self.probe_from_outcome(
+            attack.run(self.system, max_steps=self.max_steps)
+        )
 
     def probe_from_outcome(self, outcome: AttackOutcome) -> ScenarioProbe:
         """Score one classified outcome against the victim's footprint.

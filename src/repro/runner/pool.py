@@ -1,11 +1,12 @@
-"""Persistent warm worker pool for repeated simulation batches.
+"""Worker process pool for simulation batches, optionally kept warm.
 
-:func:`~repro.runner.executor.run_batch` normally shards a batch across a
-throwaway ``ProcessPoolExecutor`` — fine for one big table, wasteful for a
-frontier sweep that submits many small batches in a row, where each batch
-pays full pool fork/startup cost again.  A :class:`WorkerPool` keeps a
-fixed set of worker processes alive across batches: jobs travel to workers
-over a task queue, results come back over a result queue tagged with their
+Every parallel :func:`~repro.runner.executor.run_batch` runs on a
+:class:`WorkerPool`.  Without ``pool=`` it opens a short-lived one per
+batch — fine for one big table, wasteful for a frontier sweep that
+submits many small batches in a row, where each batch would pay full
+fork/startup cost again.  A caller-owned pool keeps a fixed set of
+worker processes alive across batches.  Jobs travel to workers over a
+task queue, results come back over a result queue tagged with their
 submission index, so every batch returns results in input order and the
 output stays byte-identical to a sequential run.
 
@@ -14,7 +15,7 @@ Typical use (the ``frontier`` CLI command does exactly this)::
     from repro.runner import WorkerPool, run_batch
 
     with WorkerPool(workers=4) as pool:
-        security = run_batch(attack_jobs, store=store, pool=pool)
+        security = run_batch(scenario_jobs, store=store, pool=pool)
         perf = run_batch(sim_jobs, store=store, pool=pool)  # same workers
 
 Workers are spawned lazily on the first batch and reused until

@@ -1,9 +1,8 @@
-"""On-disk JSON result store for cacheable simulation jobs.
+"""On-disk JSON result store for simulation and attack jobs.
 
 One file per job key under ``benchmarks/results/cache/`` (or any directory
 you point a :class:`ResultStore` at).  Each file records the key-schema
-version, the result's type (``SimResult``, ``AttackProbe`` or
-``ScenarioProbe``), the job's
+version, the result's type (``SimResult`` or ``ScenarioProbe``), the job's
 full fingerprint (so a human can see exactly which configuration produced
 it) and the result payload.  A version bump, an unreadable file, a key
 mismatch or an unknown result type all degrade to a cache miss — the store
@@ -28,7 +27,6 @@ from typing import Any
 from repro.errors import ConfigError
 from repro.runner.job import (
     KEY_VERSION,
-    AttackProbe,
     ScenarioProbe,
     SimResult,
     fingerprint,
@@ -43,7 +41,6 @@ DEFAULT_CACHE_DIR = pathlib.Path("benchmarks") / "results" / "cache"
 #: field existed are all SimResults, hence the lookup default in ``get``.
 RESULT_TYPES = {
     "SimResult": SimResult,
-    "AttackProbe": AttackProbe,
     "ScenarioProbe": ScenarioProbe,
 }
 

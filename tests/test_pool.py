@@ -25,7 +25,6 @@ class _FailingJob:
     """Module-level so it pickles into pool workers."""
 
     message: str = "boom"
-    cacheable = False
 
     def key(self) -> str:
         return f"failing-{self.message}"
@@ -70,6 +69,13 @@ def test_pool_feeds_the_store_like_the_executor(tmp_path):
         assert len(store) == len(jobs)
         run_batch(jobs, store=store, pool=pool)
     assert store.hits == len(jobs)
+
+
+def test_run_batch_parallel_reraises_earliest_job_error():
+    """Without a caller pool, workers>1 runs on a short-lived pool that
+    still re-raises the earliest failing job's error."""
+    with pytest.raises(ConfigError, match="^first$"):
+        run_batch([_FailingJob("first"), _FailingJob("second")], workers=2)
 
 
 def test_pool_propagates_job_errors_and_stays_usable():

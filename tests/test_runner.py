@@ -21,9 +21,9 @@ from repro.errors import ConfigError
 from repro.experiments import common, table4
 from repro.mem.hierarchy import HierarchyConfig
 from repro.runner import (
-    AttackJob,
-    AttackProbeJob,
+    ATTACK_KINDS,
     ResultStore,
+    ScenarioJob,
     SimJob,
     SimResult,
     job_key,
@@ -110,7 +110,7 @@ def test_attack_job_key_covers_every_field():
     system = SystemConfig(
         prefetcher=PrefetcherSpec(kind="prefender", prefender=PrefenderConfig.st_at(8))
     )
-    base = AttackJob.build("flush-reload", system)
+    base = ScenarioJob.build("flush-reload", system=system)
     base_key = base.key()
     seen_paths = set()
     for path, mutated in _perturbations(base):
@@ -128,14 +128,12 @@ def test_adversarial_prefetch_kinds_get_distinct_keys():
     system = SystemConfig(
         prefetcher=PrefetcherSpec(kind="prefender", prefender=PrefenderConfig.st_at(8))
     )
-    a1 = AttackProbeJob.build("adversarial-prefetch-a1", system)
-    a2 = AttackProbeJob.build("adversarial-prefetch-a2", system)
+    a1 = ScenarioJob.build("adversarial-prefetch-a1", system=system)
+    a2 = ScenarioJob.build("adversarial-prefetch-a2", system=system)
     assert a1.key() != a2.key()
     assert a1.options.probe_kind == "load"
     assert a2.options.probe_kind == "prefetch"
     assert a1.options.cross_core and a2.options.cross_core
-    # The family's jobs are probe jobs (JSON-able) so --store covers them.
-    assert a1.cacheable and a2.cacheable
     # Perturbation walk over an adversarial-prefetch job: every field of the
     # resolved options (including the new probe_kind) lands in the key.
     base_key = a1.key()
@@ -418,18 +416,46 @@ def test_store_uncapped_by_default_and_rejects_bad_cap(tmp_path):
 
 
 def test_store_roundtrips_attack_probes(tmp_path):
-    """AttackProbeJob results persist and reload as AttackProbe objects."""
+    """Plain attack jobs persist and reload as ScenarioProbe objects."""
     store = ResultStore(tmp_path)
-    job = AttackProbeJob.build("flush-reload")
+    job = ScenarioJob.build("flush-reload")
     (probe,) = run_batch([job], store=store)
     assert probe.succeeded, "undefended flush-reload must succeed"
     reread = ResultStore(tmp_path)
     (cached,) = run_batch([job], store=reread)
     assert reread.hits == 1
     assert dataclasses.asdict(cached) == dataclasses.asdict(probe)
-    # Probe and attack jobs with identical inputs still get distinct keys
-    # (the fingerprint includes the class name).
-    assert job.key() != AttackJob.build("flush-reload").key()
+
+
+def test_job_keys_match_pinned_values():
+    """Key schema pins: warm stores from earlier releases stay valid."""
+    assert (
+        SimJob(workload="999.specrand", scale=0.05).key()
+        == "7fb563afd2f64fbfb6acfbdb728993486981e098766148c6302363c25062c59c"
+    )
+    assert (
+        ScenarioJob.build("flush-reload", "aes-ttable", 1).key()
+        == "12030bd7e5a4ab7a1cc6f3d55f3ce0c0e9a74d9d55287d72c738b2bb958b346a"
+    )
+
+
+@pytest.mark.parametrize("kind", sorted(ATTACK_KINDS))
+@pytest.mark.parametrize("defense", ["Base", "FULL"])
+def test_attack_probe_matches_direct_outcome(kind, defense):
+    """A plain ScenarioJob probe agrees with running the attack directly.
+
+    Pins that scoring by footprint (set equality against the direct
+    victim's one-index footprint) is the outcome's own success test,
+    ``candidates == [secret]``.
+    """
+    system = SystemConfig(prefetcher=common.security_spec(defense))
+    probe = ScenarioJob.build(kind, system=system).run()
+    outcome = ATTACK_KINDS[kind]().run(system)
+    assert probe.challenges == outcome.challenges
+    assert probe.secret == outcome.secret
+    assert probe.succeeded == outcome.attack_succeeded
+    assert probe.candidates == outcome.candidates
+    assert probe.cycles == outcome.run_result.cycles
 
 
 def test_store_result_kind_dispatch(tmp_path):
@@ -449,10 +475,12 @@ def test_store_result_kind_dispatch(tmp_path):
     legacy = ResultStore(tmp_path)
     assert legacy.get(job.key()) is not None
 
-    data["result_kind"] = "Bogus"
-    path.write_text(json.dumps(data))
-    bogus = ResultStore(tmp_path)
-    assert bogus.get(job.key()) is None and bogus.misses == 1
+    # Unknown kinds, including the retired AttackProbe, are misses.
+    for kind in ("Bogus", "AttackProbe"):
+        data["result_kind"] = kind
+        path.write_text(json.dumps(data))
+        bogus = ResultStore(tmp_path)
+        assert bogus.get(job.key()) is None and bogus.misses == 1, kind
 
 
 def test_store_clear(tmp_path):
@@ -506,17 +534,17 @@ def test_sim_job_rejects_non_positive_scale():
 
 def test_attack_job_unknown_kind():
     with pytest.raises(ConfigError):
-        AttackJob(attack="rowhammer")
+        ScenarioJob(attack="rowhammer")
     with pytest.raises(ConfigError):
-        AttackJob.build("rowhammer")
+        ScenarioJob.build("rowhammer")
 
 
 def test_attack_job_merges_class_default_options():
-    job = AttackJob.build("prime-probe", SystemConfig(), noise_c3=True)
+    job = ScenarioJob.build("prime-probe", system=SystemConfig(), noise_c3=True)
     assert job.options.noise_c3 is True
     # Prime+Probe's class defaults (48 monitored sets, secret 37) land in
     # the resolved options — and therefore in the job key.
     assert job.options.num_indices == 48
     assert job.options.secret == 37
-    outcome = job.run()
-    assert outcome.challenges == "C1+C2+C3"
+    probe = job.run()
+    assert probe.challenges == "C1+C2+C3"

@@ -478,7 +478,7 @@ class PoolPicklableRule:
 
     rule_id = "POOL401"
     description = "lambda or nested function handed to the worker pool"
-    fixit = "submit a module-level callable (see runner.executor._execute)"
+    fixit = "submit a module-level job object (see runner.job.SimJob)"
 
     def applies(self, relpath: str) -> bool:
         return relpath.startswith("src/repro/")
