@@ -893,7 +893,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     bench_cmd.add_argument(
         "--quick", action="store_true",
-        help="CI smoke mode: one pass at a reduced workload scale",
+        help="CI smoke mode: one timed pass (after a warm-up) at a reduced "
+        "workload scale",
     )
     bench_cmd.add_argument(
         "--scale", type=_scale_arg, default=0.5,

@@ -49,7 +49,7 @@ from repro.attacks import (
 from repro.attacks.base import verdict_line
 from repro.attacks.layout import AttackOptions
 from repro.cpu.system import RunResult
-from repro.errors import ConfigError
+from repro.errors import ConfigError, SimulationError
 from repro.isa.program import Program
 from repro.sim.config import SystemConfig
 from repro.sim.simulator import run_program
@@ -210,12 +210,15 @@ class SimJob:
         :meth:`build_program` result to reuse (a run never modifies it)."""
         if program is None:
             program = self.build_program()
-        result = run_program(
-            program,
-            self.system,
-            max_steps=self.max_steps,
-            sample_interval=self.sample_interval,
-        )
+        try:
+            result = run_program(
+                program,
+                self.system,
+                max_steps=self.max_steps,
+                sample_interval=self.sample_interval,
+            )
+        except SimulationError as exc:
+            raise _named_error(self.workload, self, exc) from exc
         return SimResult.from_run(result)
 
 
@@ -275,6 +278,14 @@ class ScenarioProbe:
                 for stats in data.get("defense_stats", [])
             ],
         )
+
+
+def _named_error(
+    what: str, job: "SimJob | ScenarioJob", exc: SimulationError
+) -> SimulationError:
+    """``exc`` prefixed with the job it came from, so a batch failure
+    (inline or from a pool worker) says which job ran out of budget."""
+    return SimulationError(f"{what} (job {job.key()[:12]}): {exc}")
 
 
 def _attack_class(attack: str) -> type[CacheAttack]:
@@ -347,9 +358,13 @@ class ScenarioJob:
 
     def run(self) -> ScenarioProbe:
         attack = ATTACK_KINDS[self.attack](self.options)
-        return self.probe_from_outcome(
-            attack.run(self.system, max_steps=self.max_steps)
-        )
+        try:
+            outcome = attack.run(self.system, max_steps=self.max_steps)
+        except SimulationError as exc:
+            raise _named_error(
+                f"{self.attack} x {self.options.victim}", self, exc
+            ) from exc
+        return self.probe_from_outcome(outcome)
 
     def probe_from_outcome(self, outcome: AttackOutcome) -> ScenarioProbe:
         """Score one classified outcome against the victim's footprint.

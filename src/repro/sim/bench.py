@@ -1,7 +1,7 @@
 """Simulator-throughput benchmark: the ``python -m repro bench`` backend.
 
 Times three scenarios that together cover every hot path the simulator has
-(the decode/dispatch core loop, the tag-indexed caches, the single-core
+(the decode/dispatch core loop, the LRU-ordered cache sets, the single-core
 fast loop, the two-core scheduler, coherence traffic, and the speculative
 substrate):
 
@@ -12,9 +12,11 @@ substrate):
 * ``speculative_spectre`` — Flush+Reload against a Spectre-v1 victim with
   speculative execution, mispredictions and squashes.
 
-Each scenario runs ``repeats`` times and reports the best wall-clock pass
-(instructions / second); results serialise to ``BENCH_sim_throughput.json``
-so CI and the growth driver can track the throughput trajectory.
+Each scenario runs once untimed, then ``repeats`` timed times, and reports
+the best wall-clock pass (instructions / second).  The warm-up keeps even
+``--quick``'s single timed pass from measuring cold start (first-call
+imports and allocator growth).  Results serialise to
+``BENCH_sim_throughput.json`` so CI can track the throughput trajectory.
 ``tests/test_golden_parity.py`` guards that none of this speed moved a
 single cycle or counter.
 """
@@ -95,6 +97,7 @@ def run_speculative_spectre():
 def _time_scenario(
     name: str, run: Callable[[], object], repeats: int
 ) -> ScenarioResult:
+    run()  # untimed warm-up
     best = float("inf")
     result = None
     for _ in range(max(1, repeats)):

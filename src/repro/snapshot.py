@@ -32,7 +32,9 @@ from repro.errors import SnapshotError
 __all__ = ["SNAPSHOT_VERSION", "require_keys"]
 
 # Bump whenever any component's snapshot layout changes shape.
-SNAPSHOT_VERSION = 1
+# 2: Cache sets are their valid lines in LRU order (no clock, no per-way
+# valid bit).
+SNAPSHOT_VERSION = 2
 
 
 def require_keys(data: dict, expected: Iterable[str], what: str) -> None:

@@ -1,6 +1,7 @@
 """The ``python -m repro bench`` command and its JSON report."""
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -20,6 +21,18 @@ def test_run_bench_report_shape():
         assert cell["instr_per_sec"] > 0
 
 
+def test_each_scenario_warms_up_untimed():
+    calls = []
+
+    def run():
+        calls.append(len(calls))
+        return SimpleNamespace(instructions=10, cycles=20)
+
+    result = bench._time_scenario("probe", run, repeats=1)
+    assert len(calls) == 2  # one untimed warm-up, then the timed pass
+    assert result.repeats == 1
+
+
 def test_bench_cli_quick_emits_report(tmp_path, capsys):
     out = tmp_path / "BENCH_sim_throughput.json"
     assert main(["bench", "--quick", "--output", str(out)]) == 0
@@ -28,7 +41,7 @@ def test_bench_cli_quick_emits_report(tmp_path, capsys):
     report = json.loads(out.read_text())
     assert report["schema"] == bench.SCHEMA
     assert set(report["scenarios"]) == set(bench.SCENARIO_NAMES)
-    # Quick mode shrinks the workload and runs one pass per scenario.
+    # Quick mode shrinks the workload and times one pass per scenario.
     assert report["scale"] == bench.QUICK_SCALE
     assert report["repeats"] == 1
 

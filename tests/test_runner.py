@@ -17,7 +17,7 @@ import pytest
 
 from repro.core.config import PrefenderConfig
 from repro.cpu.core import CoreConfig
-from repro.errors import ConfigError
+from repro.errors import ConfigError, SimulationError
 from repro.experiments import common, table4
 from repro.mem.hierarchy import HierarchyConfig
 from repro.runner import (
@@ -289,6 +289,29 @@ def test_concurrent_puts_of_one_key_leave_one_valid_entry(tmp_path):
     assert len(store) == 1
     assert sorted(path.name for path in root.iterdir()) == ["same-key.json"]
     assert store.get("same-key").to_json() == result.to_json()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize(
+    "failing, name",
+    [
+        (SimJob("429.mcf", scale=0.05, max_steps=50), "429.mcf"),
+        (
+            replace(
+                ScenarioJob.build("flush-reload", victim="aes-ttable", secret=3),
+                max_steps=50,
+            ),
+            "flush-reload x aes-ttable",
+        ),
+    ],
+)
+def test_exhausted_step_budget_names_its_job(workers, failing, name):
+    jobs = [SimJob("999.specrand", scale=0.05), failing]
+    with pytest.raises(SimulationError) as raised:
+        run_batch(jobs, workers=workers)
+    message = str(raised.value)
+    assert message.startswith(f"{name} (job {failing.key()[:12]}): ")
+    assert "exceeded 50 scheduler steps" in message
 
 
 def test_run_batch_rejects_negative_workers():

@@ -7,13 +7,14 @@ snapshots, runs K more, restores and re-runs the K — while the control
 simply runs N+K straight through.  ``tools.state_diff`` then deep-compares
 the two live object graphs field by field; a single diverging register,
 cache line, MSHR entry or tracker counter fails with its exact path
-(``core[1].l1._sets[3][0].dirty``).
+(``core[1].l1._sets[3][192].dirty``).
 
 Also here: the snapshot versioning contract (mismatched
 ``SNAPSHOT_VERSION``, unknown/missing fields and topology mismatches all
 raise :class:`SnapshotError`), image non-aliasing (one snapshot serves
-many restores), a countdown-fusion differential, and a hypothesis
-round-trip property over random programs × random snapshot points.
+many restores), LRU order as compared state, a countdown-fusion
+differential, and a hypothesis round-trip property over random programs ×
+random snapshot points.
 """
 
 import copy
@@ -31,10 +32,13 @@ from tools.state_diff import diff_systems, state_diff
 from repro.errors import SnapshotError
 from repro.experiments.common import PERF_CORE, security_spec
 from repro.isa.builder import ProgramBuilder
+from repro.mem.cache import Cache, MemoryPort
+from repro.mem.memory import MainMemory
 from repro.runner.job import ATTACK_KINDS
 from repro.sim.config import PrefetcherSpec, SystemConfig
 from repro.sim.simulator import build_system
 from repro.snapshot import SNAPSHOT_VERSION
+from repro.utils.addr import AddressMap
 from repro.workloads import get_workload
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "golden" / "timing_parity.json"
@@ -183,6 +187,26 @@ def test_restore_does_not_alias_the_image():
     system.restore(image)
     system.run_steps(250)
     assert image == pristine
+
+
+def test_state_diff_compares_cache_lru_order():
+    """Two caches with the same lines, flags and counters but a different
+    LRU order in one set must diverge: the order picks the next victim."""
+
+    def filled_cache():
+        cache = Cache(
+            "L1D0", size=1024, assoc=2, amap=AddressMap(), hit_latency=4,
+            parent=MemoryPort(MainMemory(latency=100)),
+        )
+        cache.access(0x000, 0)
+        cache.access(0x200, 0)  # same set as 0x000 (8 sets of 64-byte lines)
+        return cache
+
+    same, swapped = filled_cache(), filled_cache()
+    assert state_diff(same, swapped, "l1") == []
+    lines = swapped._sets[0]
+    lines[0x000] = lines.pop(0x000)
+    assert state_diff(same, swapped, "l1") == ["l1._sets[0]: key order differs"]
 
 
 def test_countdown_fusion_is_cycle_exact():

@@ -3,7 +3,7 @@
 ``state_diff(a, b)`` walks two object graphs in lockstep — ``__slots__``
 and instance ``__dict__`` attributes, dataclass fields, dicts, lists,
 tuples and sets — and returns a list of human-readable divergence paths
-like ``core[1].l1._sets[3][0].dirty: True != False``.  An empty list means
+like ``core[1].l1._sets[3][192].dirty: True != False``.  An empty list means
 the two graphs are field-for-field identical.
 
 The walk skips configuration and topology that is immutable for a given
@@ -11,8 +11,9 @@ system (program text, decode caches, dispatch tables, geometry constants)
 and back-references (``Core.hierarchy``, ``Cache.parent``) that would
 otherwise make every comparison traverse the whole system from every node.
 Plain dicts compare order-insensitively (key set + per-key values);
-``collections.OrderedDict`` compares key *order* too.  Behavioural order
-dependence hiding in plain dicts (e.g. a FIFO keyed on insertion order) is
+``collections.OrderedDict`` and the fields named in :data:`ORDERED_FIELDS`
+(``Cache._sets``, whose per-set dicts *are* the LRU order) compare key
+*order* too.  Other behavioural order dependence hiding in plain dicts is
 covered differentially instead: the parity harness also runs both systems
 onward and compares their final digests, so an order divergence that
 matters cannot stay silent.
@@ -78,6 +79,10 @@ PER_CLASS_SKIP: dict[str, frozenset[str]] = {
     ),
 }
 
+#: Per-class fields whose dicts (in any list or tuple below the field) carry
+#: meaning in their key order.
+ORDERED_FIELDS: dict[str, frozenset[str]] = {"Cache": frozenset({"_sets"})}
+
 _LEAF_TYPES = (int, float, complex, str, bytes, bool, type(None))
 
 
@@ -132,6 +137,7 @@ def _walk(
     out: list[str],
     visited: set[tuple[int, int]],
     limit: int,
+    ordered: bool = False,
 ) -> None:
     if len(out) >= limit:
         return
@@ -151,14 +157,14 @@ def _walk(
         return
     visited.add(key)
     if isinstance(a, dict):
-        _walk_dict(a, b, path, out, visited, limit)
+        _walk_dict(a, b, path, out, visited, limit, ordered)
         return
     if isinstance(a, (list, tuple)):
         if len(a) != len(b):
             out.append(f"{path}: length {len(a)} != {len(b)}")
             return
         for i, (xa, xb) in enumerate(zip(a, b)):
-            _walk(xa, xb, f"{path}[{i}]", out, visited, limit)
+            _walk(xa, xb, f"{path}[{i}]", out, visited, limit, ordered)
         return
     if isinstance(a, (set, frozenset)):
         only_a, only_b = a - b, b - a
@@ -176,6 +182,7 @@ def _walk(
             out.append(f"{path}: {a!r} != {b!r}")
         return
     skip = PER_CLASS_SKIP.get(type(a).__name__, frozenset())
+    ordered_fields = ORDERED_FIELDS.get(type(a).__name__, frozenset())
     for name in fields:
         if name in GLOBAL_SKIP or name in skip:
             continue
@@ -188,22 +195,30 @@ def _walk(
             continue
         if callable(xa) and callable(xb):
             continue
-        _walk(xa, xb, f"{path}.{name}", out, visited, limit)
+        _walk(
+            xa, xb, f"{path}.{name}", out, visited, limit, name in ordered_fields
+        )
 
 
 def _walk_dict(
-    a: dict, b: dict, path: str, out: list[str], visited: set, limit: int
+    a: dict,
+    b: dict,
+    path: str,
+    out: list[str],
+    visited: set,
+    limit: int,
+    ordered: bool,
 ) -> None:
     if a.keys() != b.keys():
         only_a = sorted(map(repr, a.keys() - b.keys()))
         only_b = sorted(map(repr, b.keys() - a.keys()))
         out.append(f"{path}: keys differ (+{only_a} -{only_b})")
         return
-    if isinstance(a, OrderedDict) and tuple(a) != tuple(b):
+    if (ordered or isinstance(a, OrderedDict)) and tuple(a) != tuple(b):
         out.append(f"{path}: key order differs")
         return
     for k in a:
-        _walk(a[k], b[k], f"{path}[{k!r}]", out, visited, limit)
+        _walk(a[k], b[k], f"{path}[{k!r}]", out, visited, limit, ordered)
 
 
 def _fields_of(obj: Any) -> tuple[str, ...]:
