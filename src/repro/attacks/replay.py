@@ -76,7 +76,12 @@ class ScenarioReplayJob:
 
 
 def replay_group(jobs: list[ScenarioJob]) -> list[ScenarioProbe]:
-    """Serve a cell's trials off one warmed snapshot, in input order."""
+    """Serve a cell's trials off one warmed snapshot, in input order.
+
+    Each trial's run gets what is left of the job's ``max_steps`` budget
+    (scheduler steps) after the shared warm-up, so a replayed trial
+    exhausts it exactly where a rebuilt one would.
+    """
     from repro.runner.job import ATTACK_KINDS
 
     base = jobs[0]
@@ -107,6 +112,11 @@ def _run_to_watch(system: System, watch: int, max_steps: int) -> int:
     can depend on the secret value.  Returns the steps taken; if every
     core halts without touching ``watch`` the secret is dead and the
     end state itself is a valid (trivial) snapshot point.
+
+    ``max_steps`` and the count returned are scheduler steps, as in
+    :meth:`System.run`: a superblock (a straight-line ALU run and its
+    trailing branch) or a fused countdown loop is one step.  Loads are
+    always steps of their own, so the stop point is never inside one.
     """
     steps = 0
     active = [core for core in system.cores if not core.halted]

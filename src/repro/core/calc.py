@@ -37,16 +37,22 @@ behaviourally identical; we canonicalise to ``1`` (documented in DESIGN.md).
 
 Scales are kept positive and saturated at the page size (the hardware uses
 16-bit registers because prefetching never crosses a page — Sec. V-E).
+
+Each ALU rule is written once, as a source template in
+:mod:`repro.isa.alu`.  :class:`CalculationBuffer` applies the templates'
+track part; the timing core (:mod:`repro.cpu.core`) compiles the same
+templates into its per-instruction handlers and superblocks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
-from repro.isa.registers import NUM_REGISTERS, WORD_MASK
-
-ADD_OPS = frozenset({"add", "sub"})
-MUL_OPS = frozenset({"mul", "sll", "srl"})
+from repro.isa.alu import ALU_RULES, alu_source, compile_function
+from repro.isa.decode import decode_instruction
+from repro.isa.instructions import Instruction
+from repro.isa.registers import NUM_REGISTERS
 
 
 @dataclass
@@ -86,25 +92,13 @@ class CalculationBuffer:
         for track in self._tracks:
             track.reset()
 
-    # -- helpers ---------------------------------------------------------------
-
-    def _clamp_scale(self, scale: int) -> int:
-        scale = abs(scale)
-        if scale < 1:
-            return 1
-        return min(scale, self.scale_cap)
-
-    @staticmethod
-    def _mask(value: int) -> int:
-        return value & WORD_MASK
-
     # -- update rules -----------------------------------------------------------
+    # The ALU rules are the templates of :mod:`repro.isa.alu` -- the code the
+    # timing core runs -- applied to the tracks alone.
 
     def load_immediate(self, rd: int, imm: int) -> None:
         """``li rd, imm``: fva <- imm, sc <- 1."""
-        track = self._tracks[rd]
-        track.fva = self._mask(imm)
-        track.sc = 1
+        self._apply(Instruction("li", rd=rd, imm=imm))
 
     def load_from_memory(self, rd: int) -> None:
         """``load rd, imm(rs)``: destination becomes an unknown variable."""
@@ -112,7 +106,7 @@ class CalculationBuffer:
 
     def move(self, rd: int, rs: int) -> None:
         """``mov rd, rs`` == ``add rd, rs, 0`` under Table III."""
-        self.alu("add", rd, rs, imm=0)
+        self._apply(Instruction("mov", rd=rd, rs0=rs))
 
     def other(self, rd: int) -> None:
         """The "Otherwise" rule: reinitialise the destination."""
@@ -128,89 +122,22 @@ class CalculationBuffer:
     ) -> None:
         """Apply the Table III rule for one ALU instruction.
 
-        Exactly one of ``rs1`` / ``imm`` must be provided.  Ops outside
-        add/sub/mul/sll/srl fall into the "Otherwise" rule.
+        Exactly one of ``rs1`` / ``imm`` must be provided.  ``and``/``or``/
+        ``xor`` fall into the "Otherwise" rule.
         """
-        if op in ADD_OPS:
-            self._add_like(op, rd, rs0, rs1, imm)
-        elif op in MUL_OPS:
-            self._mul_like(op, rd, rs0, rs1, imm)
-        else:
-            self.other(rd)
+        self._apply(Instruction(op, rd=rd, rs0=rs0, rs1=rs1, imm=imm))
 
-    # Addition / subtraction ---------------------------------------------------
+    def _apply(self, instruction: Instruction) -> None:
+        d = decode_instruction(instruction, 0)
+        _TRACK_RULES[d[0]](self._tracks, d, self.scale_cap)
 
-    def _add_like(
-        self, op: str, rd: int, rs0: int, rs1: int | None, imm: int | None
-    ) -> None:
-        source = self._tracks[rs0]
-        destination = self._tracks[rd]
-        if imm is not None:
-            if source.fva is None:
-                # Adding an immediate offset does not change the scale.
-                new_fva, new_sc = None, source.sc
-            else:
-                value = source.fva + imm if op == "add" else source.fva - imm
-                new_fva, new_sc = self._mask(value), 1
-        else:
-            other = self._tracks[rs1]
-            if source.fva is not None and other.fva is not None:
-                value = (
-                    source.fva + other.fva
-                    if op == "add"
-                    else source.fva - other.fva
-                )
-                new_fva, new_sc = self._mask(value), 1
-            elif source.fva is None and other.fva is not None:
-                new_fva, new_sc = None, source.sc
-            elif source.fva is not None and other.fva is None:
-                new_fva, new_sc = None, other.sc
-            else:
-                new_fva, new_sc = None, min(source.sc, other.sc)
-        destination.fva = new_fva
-        destination.sc = self._clamp_scale(new_sc)
 
-    # Multiplication / shifts ----------------------------------------------------
+def _track_rule(kind: int) -> Callable[..., None]:
+    """The Table III part of ``kind``'s ALU template as ``f(tracks, d, cap)``."""
+    fields = ALU_RULES[kind].fields
+    rule = alu_source(kind, fields, registers=False)
+    body = f"_, {', '.join(fields)} = d\n{rule}" if fields else rule
+    return compile_function(f"track_rule_{kind}", "tracks, d, cap", body, {})
 
-    @staticmethod
-    def _apply_mul(op: str, value: int, factor: int) -> int:
-        if op == "mul":
-            return value * factor
-        shift = factor & 0x3F
-        if op == "sll":
-            return value << shift
-        return value >> shift  # srl
 
-    def _mul_like(
-        self, op: str, rd: int, rs0: int, rs1: int | None, imm: int | None
-    ) -> None:
-        source = self._tracks[rs0]
-        destination = self._tracks[rd]
-        if imm is not None:
-            if source.fva is None:
-                new_fva = None
-                new_sc = self._apply_mul(op, source.sc, imm)
-            else:
-                new_fva = self._mask(self._apply_mul(op, source.fva, imm))
-                new_sc = 1
-        else:
-            other = self._tracks[rs1]
-            if source.fva is not None and other.fva is not None:
-                new_fva = self._mask(self._apply_mul(op, source.fva, other.fva))
-                new_sc = 1
-            elif source.fva is None and other.fva is not None:
-                new_fva = None
-                new_sc = self._apply_mul(op, source.sc, other.fva)
-            elif source.fva is not None and other.fva is None:
-                if op == "mul":
-                    new_fva, new_sc = None, source.fva * other.sc
-                else:
-                    # Shift by an unknown amount: conservatively reinitialise.
-                    new_fva, new_sc = None, 1
-            else:
-                if op == "mul":
-                    new_fva, new_sc = None, source.sc * other.sc
-                else:
-                    new_fva, new_sc = None, 1
-        destination.fva = new_fva
-        destination.sc = self._clamp_scale(new_sc)
+_TRACK_RULES = {kind: _track_rule(kind) for kind in ALU_RULES}

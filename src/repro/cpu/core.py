@@ -11,8 +11,18 @@ Execution dispatches through the program's pre-decoded tuples
 indexes a handler table with the tuple's kind integer instead of walking an
 ``if op == "load"`` string chain, and each handler applies both the
 architectural semantics and the matching Table III calculation-buffer rule
-in straight-line code.  ``tests/test_golden_parity.py`` pins this dispatch
-engine cycle- and counter-exact against the pre-overhaul interpreter.
+in straight-line code.  The ALU handlers are generated from the one
+template per kind in :mod:`repro.isa.alu`.
+
+A core that is not speculating runs each straight-line run of ALU ops as
+one *superblock*: a function compiled from the same templates with every
+operand inlined, advancing time and the retired count once per run, then
+handing a trailing branch or jmp to its ordinary handler.  Runs are keyed
+by start index and compiled on first entry; loads, stores, flushes,
+prefetches, ``rdcycle``, ``fence`` and ``halt`` stay single steps, so the
+order of memory events across cores is unchanged.
+``tests/test_golden_parity.py`` pins this dispatch engine cycle- and
+counter-exact against the pre-overhaul interpreter.
 
 Speculative execution (``CoreConfig.speculative_execution``) models the
 Spectre-v1 substrate: conditional branches are predicted by a 2-bit counter
@@ -31,34 +41,25 @@ from typing import Any
 
 from repro.core.calc import CalculationBuffer
 from repro.errors import ExecutionError
+from repro.isa.alu import (
+    ALU_KINDS,
+    ALU_RULES,
+    MUL_KINDS,
+    alu_source,
+    compile_function,
+    template_locals,
+)
 from repro.isa.decode import (
     K_ADD_RI,
-    K_ADD_RR,
-    K_AND_RI,
-    K_AND_RR,
     K_BRANCH,
     K_CLFLUSH,
     K_FENCE,
     K_HALT,
     K_JMP,
-    K_LI,
     K_LOAD,
-    K_MOV,
-    K_MUL_RI,
-    K_MUL_RR,
-    K_NOP,
-    K_OR_RI,
-    K_OR_RR,
     K_PREFETCH,
     K_RDCYCLE,
-    K_SLL_RI,
-    K_SLL_RR,
-    K_SRL_RI,
-    K_SRL_RR,
     K_STORE,
-    K_SUB_RR,
-    K_XOR_RI,
-    K_XOR_RR,
     NUM_KINDS,
 )
 from repro.isa.program import Program
@@ -187,6 +188,9 @@ class Core:
         # :func:`_dispatch_table`); a table of bound methods would tie each
         # core into a reference cycle with itself.
         self._dispatch = _DISPATCH
+        # Superblocks by start index, compiled on first entry and kept on
+        # the program, so every core that runs it shares them.
+        self._blocks = _block_table(program)
 
     # -- snapshot/restore ---------------------------------------------------------
 
@@ -284,15 +288,6 @@ class Core:
         else:
             self.stats.instructions_retired += 1
 
-    def _clamp_sc(self, sc: int) -> int:
-        """The calculation buffer's scale clamp: abs, >= 1, <= page size."""
-        if sc < 0:
-            sc = -sc
-        if sc < 1:
-            return 1
-        cap = self._scale_cap
-        return sc if sc <= cap else cap
-
     def _charged_latency(self, latency: int) -> int:
         """Stall cycles the pipeline pays for a load of ``latency`` cycles.
 
@@ -312,22 +307,35 @@ class Core:
     # -- main step ------------------------------------------------------------------
 
     def step(self) -> None:
-        """Execute one instruction (or resolve a pending squash)."""
+        """Execute one scheduler step.
+
+        On a core that is not speculating, a pc that starts a straight-line
+        run of ALU ops executes the whole run, and the branch or jmp ending
+        it, as one superblock.  Otherwise one instruction executes (or a
+        pending squash resolves): ``_spec_count`` counts transient
+        instructions, so a speculating core never enters a superblock.
+        """
         if self.halted:
             return
-        if self._speculating and self.time >= self._resolve_time:
+        speculating = self._speculating
+        if speculating and self.time >= self._resolve_time:
             self._squash()
             return
         index = self.pc_index
         if 0 <= index < self._program_len:
-            d = self._decoded[index]
-            self._dispatch[d[0]](self, d)
+            block = None if speculating else self._blocks[index]
+            if block is None:
+                d = self._decoded[index]
+                self._dispatch[d[0]](self, d)
+            else:
+                block(self)
+            # A superblock's trailing branch may have just mispredicted.
             if self._speculating:
                 self._spec_count += 1
                 if self._spec_count >= self._spec_window:
                     self._stall_to_resolve()
             return
-        if self._speculating:
+        if speculating:
             self._stall_to_resolve()
             return
         raise ExecutionError(
@@ -425,30 +433,7 @@ class Core:
         self.pc_index += 1
         self.stats.instructions_retired += 1
 
-    # -- register moves ----------------------------------------------------------------
-
-    def _op_li(self, d: tuple[Any, ...]) -> None:
-        _, rd, imm = d
-        if rd:
-            self._values[rd] = imm
-        track = self._tracks[rd]
-        track.fva = imm
-        track.sc = 1
-        self._retire()
-
-    def _op_mov(self, d: tuple[Any, ...]) -> None:
-        _, rd, rs0 = d
-        if rd:
-            self._values[rd] = self._values[rs0]
-        src = self._tracks[rs0]
-        dst = self._tracks[rd]
-        if src.fva is None:
-            dst.fva = None
-            dst.sc = src.sc
-        else:
-            dst.fva = src.fva
-            dst.sc = 1
-        self._retire()
+    # -- cycle counter -----------------------------------------------------------------
 
     def _op_rdcycle(self, d: tuple[Any, ...]) -> None:
         rd = d[1]
@@ -458,254 +443,6 @@ class Core:
         track.fva = None
         track.sc = 1
         self._serialized = True
-        self._retire()
-
-    # -- ALU: add/sub (Table III "+/-" rules) -------------------------------------------
-
-    def _op_add_rr(self, d: tuple[Any, ...]) -> None:
-        _, rd, rs0, rs1 = d
-        values = self._values
-        if rd:
-            values[rd] = (values[rs0] + values[rs1]) & WORD_MASK
-        tracks = self._tracks
-        src, other, dst = tracks[rs0], tracks[rs1], tracks[rd]
-        sfva, ofva = src.fva, other.fva
-        if sfva is not None and ofva is not None:
-            dst.fva = (sfva + ofva) & WORD_MASK
-            dst.sc = 1
-        elif sfva is None and ofva is not None:
-            dst.fva = None
-            dst.sc = src.sc
-        elif sfva is not None:
-            dst.fva = None
-            dst.sc = other.sc
-        else:
-            dst.fva = None
-            ssc, osc = src.sc, other.sc
-            dst.sc = ssc if ssc < osc else osc
-        self._retire()
-
-    def _op_sub_rr(self, d: tuple[Any, ...]) -> None:
-        _, rd, rs0, rs1 = d
-        values = self._values
-        if rd:
-            values[rd] = (values[rs0] - values[rs1]) & WORD_MASK
-        tracks = self._tracks
-        src, other, dst = tracks[rs0], tracks[rs1], tracks[rd]
-        sfva, ofva = src.fva, other.fva
-        if sfva is not None and ofva is not None:
-            dst.fva = (sfva - ofva) & WORD_MASK
-            dst.sc = 1
-        elif sfva is None and ofva is not None:
-            dst.fva = None
-            dst.sc = src.sc
-        elif sfva is not None:
-            dst.fva = None
-            dst.sc = other.sc
-        else:
-            dst.fva = None
-            ssc, osc = src.sc, other.sc
-            dst.sc = ssc if ssc < osc else osc
-        self._retire()
-
-    def _op_add_ri(self, d: tuple[Any, ...]) -> None:
-        # Covers ``sub rd, rs, imm`` too: decode negates the immediate.
-        _, rd, rs0, imm = d
-        values = self._values
-        if rd:
-            values[rd] = (values[rs0] + imm) & WORD_MASK
-        tracks = self._tracks
-        src, dst = tracks[rs0], tracks[rd]
-        sfva = src.fva
-        if sfva is None:
-            # Adding an immediate offset does not change the scale.
-            dst.fva = None
-            dst.sc = src.sc
-        else:
-            dst.fva = (sfva + imm) & WORD_MASK
-            dst.sc = 1
-        self._retire()
-
-    # -- ALU: mul/shift (Table III "x" rules) -------------------------------------------
-
-    def _op_mul_rr(self, d: tuple[Any, ...]) -> None:
-        _, rd, rs0, rs1 = d
-        values = self._values
-        if rd:
-            values[rd] = (values[rs0] * values[rs1]) & WORD_MASK
-        tracks = self._tracks
-        src, other, dst = tracks[rs0], tracks[rs1], tracks[rd]
-        sfva, ofva = src.fva, other.fva
-        if sfva is not None and ofva is not None:
-            dst.fva = (sfva * ofva) & WORD_MASK
-            dst.sc = 1
-        elif sfva is None and ofva is not None:
-            dst.fva = None
-            dst.sc = self._clamp_sc(src.sc * ofva)
-        elif sfva is not None:
-            dst.fva = None
-            dst.sc = self._clamp_sc(sfva * other.sc)
-        else:
-            dst.fva = None
-            dst.sc = self._clamp_sc(src.sc * other.sc)
-        self.time += self._mul_cost
-        self.pc_index += 1
-        if self._speculating:
-            self.stats.transient_executed += 1
-        else:
-            self.stats.instructions_retired += 1
-
-    def _op_mul_ri(self, d: tuple[Any, ...]) -> None:
-        _, rd, rs0, imm = d
-        values = self._values
-        if rd:
-            values[rd] = (values[rs0] * imm) & WORD_MASK
-        tracks = self._tracks
-        src, dst = tracks[rs0], tracks[rd]
-        sfva = src.fva
-        if sfva is None:
-            dst.fva = None
-            dst.sc = self._clamp_sc(src.sc * imm)
-        else:
-            dst.fva = (sfva * imm) & WORD_MASK
-            dst.sc = 1
-        self.time += self._mul_cost
-        self.pc_index += 1
-        if self._speculating:
-            self.stats.transient_executed += 1
-        else:
-            self.stats.instructions_retired += 1
-
-    def _op_sll_rr(self, d: tuple[Any, ...]) -> None:
-        _, rd, rs0, rs1 = d
-        values = self._values
-        shift = values[rs1] & 0x3F
-        if rd:
-            values[rd] = (values[rs0] << shift) & WORD_MASK
-        tracks = self._tracks
-        src, other, dst = tracks[rs0], tracks[rs1], tracks[rd]
-        sfva, ofva = src.fva, other.fva
-        if sfva is not None and ofva is not None:
-            dst.fva = (sfva << (ofva & 0x3F)) & WORD_MASK
-            dst.sc = 1
-        elif sfva is None and ofva is not None:
-            dst.fva = None
-            dst.sc = self._clamp_sc(src.sc << (ofva & 0x3F))
-        else:
-            # Shift by an unknown amount: conservatively reinitialise.
-            dst.fva = None
-            dst.sc = 1
-        self._retire()
-
-    def _op_srl_rr(self, d: tuple[Any, ...]) -> None:
-        _, rd, rs0, rs1 = d
-        values = self._values
-        shift = values[rs1] & 0x3F
-        if rd:
-            values[rd] = values[rs0] >> shift
-        tracks = self._tracks
-        src, other, dst = tracks[rs0], tracks[rs1], tracks[rd]
-        sfva, ofva = src.fva, other.fva
-        if sfva is not None and ofva is not None:
-            dst.fva = (sfva >> (ofva & 0x3F)) & WORD_MASK
-            dst.sc = 1
-        elif sfva is None and ofva is not None:
-            dst.fva = None
-            dst.sc = self._clamp_sc(src.sc >> (ofva & 0x3F))
-        else:
-            dst.fva = None
-            dst.sc = 1
-        self._retire()
-
-    def _op_sll_ri(self, d: tuple[Any, ...]) -> None:
-        _, rd, rs0, shift = d
-        values = self._values
-        if rd:
-            values[rd] = (values[rs0] << shift) & WORD_MASK
-        tracks = self._tracks
-        src, dst = tracks[rs0], tracks[rd]
-        sfva = src.fva
-        if sfva is None:
-            dst.fva = None
-            dst.sc = self._clamp_sc(src.sc << shift)
-        else:
-            dst.fva = (sfva << shift) & WORD_MASK
-            dst.sc = 1
-        self._retire()
-
-    def _op_srl_ri(self, d: tuple[Any, ...]) -> None:
-        _, rd, rs0, shift = d
-        values = self._values
-        if rd:
-            values[rd] = values[rs0] >> shift
-        tracks = self._tracks
-        src, dst = tracks[rs0], tracks[rd]
-        sfva = src.fva
-        if sfva is None:
-            dst.fva = None
-            dst.sc = self._clamp_sc(src.sc >> shift)
-        else:
-            dst.fva = (sfva >> shift) & WORD_MASK
-            dst.sc = 1
-        self._retire()
-
-    # -- ALU: and/or/xor (Table III "Otherwise" rule) -----------------------------------
-
-    def _op_and_rr(self, d: tuple[Any, ...]) -> None:
-        _, rd, rs0, rs1 = d
-        values = self._values
-        if rd:
-            values[rd] = values[rs0] & values[rs1]
-        dst = self._tracks[rd]
-        dst.fva = None
-        dst.sc = 1
-        self._retire()
-
-    def _op_or_rr(self, d: tuple[Any, ...]) -> None:
-        _, rd, rs0, rs1 = d
-        values = self._values
-        if rd:
-            values[rd] = values[rs0] | values[rs1]
-        dst = self._tracks[rd]
-        dst.fva = None
-        dst.sc = 1
-        self._retire()
-
-    def _op_xor_rr(self, d: tuple[Any, ...]) -> None:
-        _, rd, rs0, rs1 = d
-        values = self._values
-        if rd:
-            values[rd] = values[rs0] ^ values[rs1]
-        dst = self._tracks[rd]
-        dst.fva = None
-        dst.sc = 1
-        self._retire()
-
-    def _op_and_ri(self, d: tuple[Any, ...]) -> None:
-        _, rd, rs0, imm = d
-        if rd:
-            self._values[rd] = self._values[rs0] & imm
-        dst = self._tracks[rd]
-        dst.fva = None
-        dst.sc = 1
-        self._retire()
-
-    def _op_or_ri(self, d: tuple[Any, ...]) -> None:
-        _, rd, rs0, imm = d
-        if rd:
-            self._values[rd] = self._values[rs0] | imm
-        dst = self._tracks[rd]
-        dst.fva = None
-        dst.sc = 1
-        self._retire()
-
-    def _op_xor_ri(self, d: tuple[Any, ...]) -> None:
-        _, rd, rs0, imm = d
-        if rd:
-            self._values[rd] = self._values[rs0] ^ imm
-        dst = self._tracks[rd]
-        dst.fva = None
-        dst.sc = 1
         self._retire()
 
     # -- control flow -------------------------------------------------------------------
@@ -821,9 +558,6 @@ class Core:
 
     # -- no-effect / serialising / halt -------------------------------------------------
 
-    def _op_nop(self, d: tuple[Any, ...]) -> None:
-        self._retire()
-
     def _op_fence(self, d: tuple[Any, ...]) -> None:
         self._serialized = True
         if self._speculating:
@@ -843,42 +577,129 @@ class Core:
             self.stats.instructions_retired += 1
 
 
+#: The core attribute behind each local the ALU templates read.
+_TEMPLATE_STATE = {"values": "_values", "tracks": "_tracks", "cap": "_scale_cap"}
+
+
+def _bind_template_locals(body: str) -> list[str]:
+    """Lines binding the core state the ALU templates in ``body`` read."""
+    return [
+        f"{name} = core.{_TEMPLATE_STATE[name]}" for name in template_locals(body)
+    ]
+
+
+def _alu_handler(kind: int) -> Any:
+    """Per-instruction handler for one ALU kind: its rule, then one retire."""
+    fields = ALU_RULES[kind].fields
+    rule = alu_source(kind, fields)
+    cost = "_mul_cost" if kind in MUL_KINDS else "_base_cost"
+    lines = [f"_, {', '.join(fields)} = d"] if fields else []
+    lines += _bind_template_locals(rule)
+    lines += [
+        rule,
+        f"core.time += core.{cost}",
+        "core.pc_index += 1",
+        "if core._speculating:",
+        "    core.stats.transient_executed += 1",
+        "else:",
+        "    core.stats.instructions_retired += 1",
+    ]
+    return compile_function(f"alu_kind_{kind}", "core, d", "\n".join(lines), {})
+
+
 def _dispatch_table() -> tuple[Any, ...]:
     """Handler table indexed by the decode-kind integers (``None`` holes
     for kinds without a handler: decode emits every kind listed here).
 
-    The entries are the plain ``Core._op_*`` functions, called with the
-    core as their first argument, so one table serves every core.
+    The entries are plain functions called with the core as their first
+    argument, so one table serves every core: the ``Core._op_*`` methods,
+    and for the ALU kinds the handlers generated from
+    :data:`repro.isa.alu.ALU_RULES`.
     """
     table: list[Any] = [None] * NUM_KINDS
+    for kind in ALU_KINDS:
+        table[kind] = _alu_handler(kind)
     table[K_LOAD] = Core._op_load
     table[K_STORE] = Core._op_store
-    table[K_LI] = Core._op_li
-    table[K_MOV] = Core._op_mov
-    table[K_ADD_RR] = Core._op_add_rr
-    table[K_SUB_RR] = Core._op_sub_rr
-    table[K_ADD_RI] = Core._op_add_ri
-    table[K_MUL_RR] = Core._op_mul_rr
-    table[K_MUL_RI] = Core._op_mul_ri
-    table[K_SLL_RR] = Core._op_sll_rr
-    table[K_SRL_RR] = Core._op_srl_rr
-    table[K_SLL_RI] = Core._op_sll_ri
-    table[K_SRL_RI] = Core._op_srl_ri
-    table[K_AND_RR] = Core._op_and_rr
-    table[K_OR_RR] = Core._op_or_rr
-    table[K_XOR_RR] = Core._op_xor_rr
-    table[K_AND_RI] = Core._op_and_ri
-    table[K_OR_RI] = Core._op_or_ri
-    table[K_XOR_RI] = Core._op_xor_ri
     table[K_BRANCH] = Core._op_branch
     table[K_JMP] = Core._op_jmp
     table[K_RDCYCLE] = Core._op_rdcycle
     table[K_CLFLUSH] = Core._op_clflush
     table[K_PREFETCH] = Core._op_prefetch
-    table[K_NOP] = Core._op_nop
     table[K_FENCE] = Core._op_fence
     table[K_HALT] = Core._op_halt
     return tuple(table)
 
 
 _DISPATCH = _dispatch_table()
+
+#: Superblocks by their decode-tuple content, shared by every program in
+#: the process: equal runs compile once, wherever they sit.
+_RUNS: dict[tuple[tuple[Any, ...], ...], Any] = {}
+
+
+def _compile_run(ops: tuple[tuple[Any, ...], ...]) -> Any:
+    """One function for a run of ALU ops, ending in a branch/jmp or not.
+
+    The ops' rules run in program order with every operand inlined; then
+    time and the retired count advance once for the whole run, the pc
+    moves to the tail, and the tail's ordinary handler executes it (branch
+    prediction and countdown fusion live there, once).
+    """
+    tail = ops[-1] if ops[-1][0] not in ALU_KINDS else None
+    body = ops[:-1] if tail is not None else ops
+    rules = "\n".join(alu_source(d[0], d[1:]) for d in body)
+    n = len(body)
+    muls = sum(d[0] in MUL_KINDS for d in body)
+    cost = " + ".join(
+        f"core.{attr}" if count == 1 else f"{count} * core.{attr}"
+        for count, attr in ((n - muls, "_base_cost"), (muls, "_mul_cost"))
+        if count
+    )
+    lines = _bind_template_locals(rules) + [
+        rules,
+        f"core.time += {cost}",
+        f"core.stats.instructions_retired += {n}",
+        f"core.pc_index += {n}",
+    ]
+    namespace: dict[str, Any] = {}
+    if tail is not None:
+        lines.append("tail(core, TAIL)")
+        namespace = {"tail": _DISPATCH[tail[0]], "TAIL": tail}
+    # A name per compiled run keeps profiles apart.
+    name = f"superblock_{len(_RUNS)}"
+    return compile_function(name, "core", "\n".join(lines), namespace)
+
+
+def _enter_run(core: Core) -> None:
+    """First entry at an ALU index: compile the run starting there, cache
+    it on the program, run it.
+
+    The run is the maximal straight line of ALU kinds from the pc, plus
+    the branch or jmp that ends it, if any.
+    """
+    decoded = core._decoded
+    start = core.pc_index
+    end = start
+    while end < len(decoded) and decoded[end][0] in ALU_KINDS:
+        end += 1
+    if end < len(decoded) and decoded[end][0] in (K_BRANCH, K_JMP):
+        end += 1
+    ops = decoded[start:end]
+    block = _RUNS.get(ops)
+    if block is None:
+        block = _RUNS[ops] = _compile_run(ops)
+    core._blocks[start] = block
+    block(core)
+
+
+def _block_table(program: Program) -> list[Any]:
+    """``program``'s superblock table: one entry per instruction, the run
+    starting there (:func:`_enter_run` until first entered) or ``None``
+    where no ALU run starts."""
+    blocks = program.superblocks
+    if len(blocks) != len(program.decoded):
+        blocks[:] = [
+            _enter_run if d[0] in ALU_KINDS else None for d in program.decoded
+        ]
+    return blocks

@@ -81,51 +81,45 @@ class System:
         """Run all cores to halt.
 
         Args:
-            max_steps: guard against runaway programs (spin deadlocks).
-            sample_interval: when set, record ``sample_fn(self)`` every this
-                many scheduler steps (Fig. 12 uses this to sample protected
-                buffer counts over execution progress).
+            max_steps: guard against runaway programs (spin deadlocks).  It
+                counts scheduler steps: one instruction, or one superblock
+                (a straight-line ALU run and its trailing branch) or one
+                fused countdown loop, whatever their length.
+            sample_interval: when set, record ``sample_fn(self)`` each time
+                the retired-instruction count, summed over cores, crosses a
+                multiple of this, labelled with that multiple (Fig. 12 uses
+                this to sample protected buffer counts over execution
+                progress).  A step that crosses several multiples records
+                one sample for each.
             sample_fn: sampling callback; defaults to core 0's protected
                 buffer count when its prefetcher is a PREFENDER.
 
         Raises:
             SimulationError: when ``max_steps`` is exhausted first.
         """
-        if sample_fn is None:
-            sample_fn = _default_sample
-        samples: list[tuple[int, object]] = []
-        if sample_interval:
-            # Sampling cadence counts scheduler steps, and countdown-loop
-            # fusion collapses many steps into one; interpret loops fully so
-            # a sampled run sees the same step sequence as the seed engine.
-            for core in self.cores:
-                core._fuse_loops = False
+        sampler = (
+            _Sampler(self, sample_interval, sample_fn or _default_sample)
+            if sample_interval
+            else None
+        )
         active = [core for core in self.cores if not core.halted]
         steps = 0
         while active:
             if steps >= max_steps:
                 # Only a run with work left is a runaway; when the final
                 # step halted the last core the budget was exactly enough.
-                raise SimulationError(
-                    f"exceeded {max_steps} scheduler steps; "
-                    "a program probably fails to halt"
-                )
+                raise self._overrun(max_steps)
             count = len(active)
             if count == 1:
-                steps = self._run_single(
-                    active[0], steps, max_steps, sample_interval, sample_fn, samples
-                )
+                steps = self._run_single(active[0], steps, max_steps, sampler)
             elif count == 2:
                 steps = self._run_pair(
-                    active[0], active[1], steps, max_steps, sample_interval,
-                    sample_fn, samples,
+                    active[0], active[1], steps, max_steps, sampler
                 )
             else:
-                steps = self._run_heap(
-                    active, steps, max_steps, sample_interval, sample_fn, samples
-                )
+                steps = self._run_heap(active, steps, max_steps, sampler)
             active = [core for core in active if not core.halted]
-        return self._result(samples)
+        return self._result(sampler.samples if sampler is not None else [])
 
     # -- snapshot/restore ------------------------------------------------------
 
@@ -194,17 +188,11 @@ class System:
         )
 
     def _run_single(
-        self,
-        core: Core,
-        steps: int,
-        max_steps: int,
-        sample_interval: int | None,
-        sample_fn: Callable[["System"], object],
-        samples: list[tuple[int, object]],
+        self, core: Core, steps: int, max_steps: int, sampler: "_Sampler | None"
     ) -> int:
         """Tight loop for one active core; returns the updated step count."""
         step = core.step
-        if not sample_interval:
+        if sampler is None:
             while True:
                 step()
                 steps += 1
@@ -212,11 +200,12 @@ class System:
                     return steps
                 if steps >= max_steps:
                     raise self._overrun(max_steps)
+        stats = core.stats
         while True:
+            retired = stats.instructions_retired
             step()
             steps += 1
-            if steps % sample_interval == 0:
-                samples.append((steps, sample_fn(self)))
+            sampler.advance(stats.instructions_retired - retired)
             if core.halted:
                 return steps
             if steps >= max_steps:
@@ -228,9 +217,7 @@ class System:
         second: Core,
         steps: int,
         max_steps: int,
-        sample_interval: int | None,
-        sample_fn: Callable[["System"], object],
-        samples: list[tuple[int, object]],
+        sampler: "_Sampler | None",
     ) -> int:
         """Two active cores: direct min-time comparison, until one halts.
 
@@ -238,10 +225,13 @@ class System:
         """
         while True:
             core = first if first.time <= second.time else second
-            core.step()
+            if sampler is None:
+                core.step()
+            else:
+                retired = core.stats.instructions_retired
+                core.step()
+                sampler.advance(core.stats.instructions_retired - retired)
             steps += 1
-            if sample_interval and steps % sample_interval == 0:
-                samples.append((steps, sample_fn(self)))
             if core.halted:
                 return steps
             if steps >= max_steps:
@@ -252,9 +242,7 @@ class System:
         active: list[Core],
         steps: int,
         max_steps: int,
-        sample_interval: int | None,
-        sample_fn: Callable[["System"], object],
-        samples: list[tuple[int, object]],
+        sampler: "_Sampler | None",
     ) -> int:
         """Three or more active cores: heap keyed on (time, position).
 
@@ -267,10 +255,13 @@ class System:
         heapreplace = heapq.heapreplace
         while True:
             _, position, core = heap[0]
-            core.step()
+            if sampler is None:
+                core.step()
+            else:
+                retired = core.stats.instructions_retired
+                core.step()
+                sampler.advance(core.stats.instructions_retired - retired)
             steps += 1
-            if sample_interval and steps % sample_interval == 0:
-                samples.append((steps, sample_fn(self)))
             if core.halted:
                 return steps
             if steps >= max_steps:
@@ -304,6 +295,40 @@ class System:
                 for core_id in range(hierarchy.num_cores)
             ],
         )
+
+
+class _Sampler:
+    """Samples ``sample_fn(system)`` at each multiple of ``interval`` that
+    the system's retired-instruction count, summed over cores, crosses.
+
+    Sampling by retired instructions rather than scheduler steps keeps the
+    cadence independent of how many instructions one step runs.  Steps
+    that retire several instructions at once (superblocks, fused loops)
+    contain no memory access, so the caches and prefetchers sampled after
+    one are as they were at the exact multiple.
+    """
+
+    __slots__ = ("system", "interval", "sample_fn", "samples", "retired", "due")
+
+    def __init__(
+        self,
+        system: System,
+        interval: int,
+        sample_fn: Callable[[System], object],
+    ) -> None:
+        self.system = system
+        self.interval = interval
+        self.sample_fn = sample_fn
+        self.samples: list[tuple[int, object]] = []
+        self.retired = sum(core.stats.instructions_retired for core in system.cores)
+        self.due = (self.retired // interval + 1) * interval
+
+    def advance(self, retired: int) -> None:
+        """Account ``retired`` more instructions; sample each crossed multiple."""
+        self.retired += retired
+        while self.retired >= self.due:
+            self.samples.append((self.due, self.sample_fn(self.system)))
+            self.due += self.interval
 
 
 def _defense_stats(prefetcher: object) -> dict[str, int]:

@@ -35,9 +35,8 @@ def run(
 ) -> list[ProtectionSeries]:
     names = workloads or SPEC2006_NAMES
     spec = table_spec("prefender", 32, with_rp=True)
-    # Pre-measure run lengths (one probe batch) to place samples uniformly.
-    # The perf core never speculates, so every scheduler step retires one
-    # instruction and the retired-instruction count *is* the step count.
+    # Pre-measure run lengths (one probe batch) to place samples uniformly;
+    # samples are labelled with the retired-instruction count they mark.
     probe_jobs = [sim_job(name, spec, scale) for name in names]
     probes = batch_results(probe_jobs, workers=jobs, store=store)
     totals = [probe.instructions for probe in probes]
@@ -50,9 +49,9 @@ def run(
         store=store,
     )
     series = []
-    for name, total_steps, result in zip(names, totals, sampled):
+    for name, total, result in zip(names, totals, sampled):
         progress = [
-            min(1.0, step / total_steps) for step, _ in result.samples
+            min(1.0, retired / total) for retired, _ in result.samples
         ]
         protected = [int(value) for _, value in result.samples]
         series.append(

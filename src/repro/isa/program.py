@@ -51,6 +51,11 @@ class Program:
     decoded: tuple[tuple[Any, ...], ...] = field(
         default=(), repr=False, compare=False
     )
+    #: Superblocks by start index, filled in lazily by the timing core
+    #: (see repro.cpu.core); compiled code, never part of equality.
+    superblocks: list[Any] = field(
+        default_factory=list, repr=False, compare=False
+    )
     #: 1-based source line of each instruction (assembled programs only;
     #: empty for builder-constructed programs).
     source_lines: list[int] = field(

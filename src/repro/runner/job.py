@@ -179,9 +179,13 @@ class SimJob:
         scale: loop-count multiplier (> 0); 1.0 is the paper's size.
         system: the full :class:`~repro.sim.config.SystemConfig` — every
             field participates in :meth:`key`.
-        sample_interval: record ``(step, cycles)`` samples every N steps
-            (``None`` disables sampling; figures 10/12 use it).
-        max_steps: simulation step budget (guards runaway programs).
+        sample_interval: record a sample at every multiple of N retired
+            instructions, summed over cores (``None`` disables sampling;
+            figure 12 uses it); see :meth:`repro.cpu.system.System.run`.
+        max_steps: simulation step budget (guards runaway programs).  It
+            counts scheduler steps, and a superblock (a straight-line ALU
+            run and its trailing branch) or a fused countdown loop is one
+            step.
     """
 
     workload: str
@@ -306,6 +310,10 @@ class ScenarioJob:
     key covers them automatically; prefer :meth:`build`, which resolves
     the victim's probe-array geometry and the attack's option defaults
     *into* the key.
+
+    ``max_steps`` is the simulation step budget in scheduler steps; a
+    superblock (a straight-line ALU run and its trailing branch) or a
+    fused countdown loop is one step.
     """
 
     attack: str

@@ -205,10 +205,34 @@ def test_pc_out_of_range_raises():
     program = assemble("nop\nnop")  # no halt
     hierarchy = MemoryHierarchy(num_cores=1)
     core = Core(0, program, hierarchy)
-    core.step()
-    core.step()
+    core.step()  # both nops run as one superblock step
+    assert core.pc_index == 2
     with pytest.raises(ExecutionError):
         core.step()
+
+
+@pytest.mark.parametrize(
+    "boundary",
+    [
+        "load r3, 0(r1)",
+        "store r2, 0(r1)",
+        "clflush 0(r1)",
+        "prefetch 0(r1)",
+        "prefetchw 0(r1)",
+        "rdcycle r3",
+        "fence",
+        "halt",
+    ],
+)
+def test_superblock_step_stops_before_non_alu_instruction(boundary):
+    program = assemble(f"li r1, 0x4000\nadd r2, r1, 8\n{boundary}\nnop\nhalt")
+    hierarchy = MemoryHierarchy(num_cores=1)
+    core = Core(0, program, hierarchy)
+    core.step()
+    assert core.pc_index == 2 and core.stats.instructions_retired == 2
+    core.step()  # the boundary instruction runs as a step of its own
+    assert core.stats.instructions_retired == 3
+    assert core.pc_index == (2 if boundary == "halt" else 3)
 
 
 def test_stats_counters():

@@ -1,6 +1,16 @@
 """Experiment harness plumbing (small-scale runs; full scale in benchmarks/)."""
 
-from repro.experiments import common, figure8, figure10, figure11, table4, table6
+import hashlib
+
+from repro.experiments import (
+    common,
+    figure8,
+    figure10,
+    figure11,
+    figure12,
+    table4,
+    table6,
+)
 from repro.experiments.related import TABLE_I, TABLE_II_CLAIMS
 from repro.sim.config import PrefetcherSpec
 
@@ -52,6 +62,18 @@ def test_figure10_small_subset():
     normalized = result.normalized("ST+AT")
     assert normalized["462.libquantum"] < 1.0
     assert "Figure 10" in figure10.render(result)
+
+
+def test_figure12_series_matches_pinned_digest():
+    """Samples fall at multiples of retired instructions, whatever a
+    scheduler step runs; the digest was taken when every sampled run
+    stepped one instruction at a time."""
+    series = figure12.run(scale=0.1)
+    text = repr([(s.benchmark, s.progress, s.protected) for s in series])
+    assert sum(len(s.protected) for s in series) == 480
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "727dd97c15499829a8782e1d24dd80a528420cea1f31d16ae42d60ab857700dc"
+    )
 
 
 def test_figure11_small_subset():

@@ -1,19 +1,49 @@
-"""Differential checks of the cache, MSHR file and access buffer's fast paths.
+"""Differential checks of the core's, cache's, MSHR file's and access
+buffer's fast paths.
 
-A cache set is one LRU-ordered ``{block_addr: line}`` dict,
+The core runs each straight-line ALU run as one compiled superblock, a
+cache set is one LRU-ordered ``{block_addr: line}`` dict,
 ``MSHRFile._purge`` rebuilds its entry list only once an entry has
 expired, the prefetch pool is counted with a plain loop, the access
 buffer picks its LRU victim with ``stamps.index(min(stamps))`` and
 computes DiffMin with a plain loop.  Each reference model below keeps the
-straightforward form those replaced; random operation sequences at
-non-decreasing times must give equal return values and equal state.
+straightforward form those replaced; random programs or operation
+sequences at non-decreasing times must give equal return values and equal
+state.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.access_buffer import AccessBuffer
+from repro.cpu.core import Core, CoreConfig
+from repro.isa.decode import (
+    K_ADD_RI,
+    K_ADD_RR,
+    K_AND_RI,
+    K_AND_RR,
+    K_BRANCH,
+    K_JMP,
+    K_LI,
+    K_MOV,
+    K_MUL_RI,
+    K_MUL_RR,
+    K_NOP,
+    K_OR_RI,
+    K_OR_RR,
+    K_SLL_RI,
+    K_SLL_RR,
+    K_SRL_RI,
+    K_SRL_RR,
+    K_SUB_RR,
+    K_XOR_RI,
+    K_XOR_RR,
+)
+from repro.isa.instructions import Instruction
+from repro.isa.program import DataSegment, Program
+from repro.isa.registers import SIGN_BIT, WORD_MASK
 from repro.mem.cache import Cache, MemoryPort
+from repro.mem.hierarchy import MemoryHierarchy
 from repro.mem.memory import MainMemory
 from repro.mem.mshr import MSHRFile
 from repro.utils.addr import AddressMap
@@ -453,3 +483,477 @@ def test_cache_matches_reference(bitp, operations):
                 key,
                 where,
             )
+
+
+class ReferenceAlu(Core):
+    """One instruction per step through hand-written Table III handlers:
+    the per-op ALU, ``jmp`` and non-speculative ``branch`` code the core
+    ran before superblocks.  Loads and ``halt`` keep the core's handlers.
+    """
+
+    def step(self):
+        d = self._decoded[self.pc_index]
+        handler = _REFERENCE_HANDLERS.get(d[0])
+        if handler is None:
+            self._dispatch[d[0]](self, d)
+        else:
+            handler(self, d)
+
+    def _retire(self):
+        self.time += self._base_cost
+        self.pc_index += 1
+        if self._speculating:
+            self.stats.transient_executed += 1
+        else:
+            self.stats.instructions_retired += 1
+
+    def _clamp_sc(self, sc):
+        """The calculation buffer's scale clamp: abs, >= 1, <= page size."""
+        if sc < 0:
+            sc = -sc
+        if sc < 1:
+            return 1
+        cap = self._scale_cap
+        return sc if sc <= cap else cap
+
+    def _op_li(self, d):
+        _, rd, imm = d
+        if rd:
+            self._values[rd] = imm
+        track = self._tracks[rd]
+        track.fva = imm
+        track.sc = 1
+        self._retire()
+
+    def _op_mov(self, d):
+        _, rd, rs0 = d
+        if rd:
+            self._values[rd] = self._values[rs0]
+        src = self._tracks[rs0]
+        dst = self._tracks[rd]
+        if src.fva is None:
+            dst.fva = None
+            dst.sc = src.sc
+        else:
+            dst.fva = src.fva
+            dst.sc = 1
+        self._retire()
+
+    # -- ALU: add/sub (Table III "+/-" rules) -------------------------------------------
+
+    def _op_add_rr(self, d):
+        _, rd, rs0, rs1 = d
+        values = self._values
+        if rd:
+            values[rd] = (values[rs0] + values[rs1]) & WORD_MASK
+        tracks = self._tracks
+        src, other, dst = tracks[rs0], tracks[rs1], tracks[rd]
+        sfva, ofva = src.fva, other.fva
+        if sfva is not None and ofva is not None:
+            dst.fva = (sfva + ofva) & WORD_MASK
+            dst.sc = 1
+        elif sfva is None and ofva is not None:
+            dst.fva = None
+            dst.sc = src.sc
+        elif sfva is not None:
+            dst.fva = None
+            dst.sc = other.sc
+        else:
+            dst.fva = None
+            ssc, osc = src.sc, other.sc
+            dst.sc = ssc if ssc < osc else osc
+        self._retire()
+
+    def _op_sub_rr(self, d):
+        _, rd, rs0, rs1 = d
+        values = self._values
+        if rd:
+            values[rd] = (values[rs0] - values[rs1]) & WORD_MASK
+        tracks = self._tracks
+        src, other, dst = tracks[rs0], tracks[rs1], tracks[rd]
+        sfva, ofva = src.fva, other.fva
+        if sfva is not None and ofva is not None:
+            dst.fva = (sfva - ofva) & WORD_MASK
+            dst.sc = 1
+        elif sfva is None and ofva is not None:
+            dst.fva = None
+            dst.sc = src.sc
+        elif sfva is not None:
+            dst.fva = None
+            dst.sc = other.sc
+        else:
+            dst.fva = None
+            ssc, osc = src.sc, other.sc
+            dst.sc = ssc if ssc < osc else osc
+        self._retire()
+
+    def _op_add_ri(self, d):
+        # Covers ``sub rd, rs, imm`` too: decode negates the immediate.
+        _, rd, rs0, imm = d
+        values = self._values
+        if rd:
+            values[rd] = (values[rs0] + imm) & WORD_MASK
+        tracks = self._tracks
+        src, dst = tracks[rs0], tracks[rd]
+        sfva = src.fva
+        if sfva is None:
+            # Adding an immediate offset does not change the scale.
+            dst.fva = None
+            dst.sc = src.sc
+        else:
+            dst.fva = (sfva + imm) & WORD_MASK
+            dst.sc = 1
+        self._retire()
+
+    # -- ALU: mul/shift (Table III "x" rules) -------------------------------------------
+
+    def _op_mul_rr(self, d):
+        _, rd, rs0, rs1 = d
+        values = self._values
+        if rd:
+            values[rd] = (values[rs0] * values[rs1]) & WORD_MASK
+        tracks = self._tracks
+        src, other, dst = tracks[rs0], tracks[rs1], tracks[rd]
+        sfva, ofva = src.fva, other.fva
+        if sfva is not None and ofva is not None:
+            dst.fva = (sfva * ofva) & WORD_MASK
+            dst.sc = 1
+        elif sfva is None and ofva is not None:
+            dst.fva = None
+            dst.sc = self._clamp_sc(src.sc * ofva)
+        elif sfva is not None:
+            dst.fva = None
+            dst.sc = self._clamp_sc(sfva * other.sc)
+        else:
+            dst.fva = None
+            dst.sc = self._clamp_sc(src.sc * other.sc)
+        self.time += self._mul_cost
+        self.pc_index += 1
+        if self._speculating:
+            self.stats.transient_executed += 1
+        else:
+            self.stats.instructions_retired += 1
+
+    def _op_mul_ri(self, d):
+        _, rd, rs0, imm = d
+        values = self._values
+        if rd:
+            values[rd] = (values[rs0] * imm) & WORD_MASK
+        tracks = self._tracks
+        src, dst = tracks[rs0], tracks[rd]
+        sfva = src.fva
+        if sfva is None:
+            dst.fva = None
+            dst.sc = self._clamp_sc(src.sc * imm)
+        else:
+            dst.fva = (sfva * imm) & WORD_MASK
+            dst.sc = 1
+        self.time += self._mul_cost
+        self.pc_index += 1
+        if self._speculating:
+            self.stats.transient_executed += 1
+        else:
+            self.stats.instructions_retired += 1
+
+    def _op_sll_rr(self, d):
+        _, rd, rs0, rs1 = d
+        values = self._values
+        shift = values[rs1] & 0x3F
+        if rd:
+            values[rd] = (values[rs0] << shift) & WORD_MASK
+        tracks = self._tracks
+        src, other, dst = tracks[rs0], tracks[rs1], tracks[rd]
+        sfva, ofva = src.fva, other.fva
+        if sfva is not None and ofva is not None:
+            dst.fva = (sfva << (ofva & 0x3F)) & WORD_MASK
+            dst.sc = 1
+        elif sfva is None and ofva is not None:
+            dst.fva = None
+            dst.sc = self._clamp_sc(src.sc << (ofva & 0x3F))
+        else:
+            # Shift by an unknown amount: conservatively reinitialise.
+            dst.fva = None
+            dst.sc = 1
+        self._retire()
+
+    def _op_srl_rr(self, d):
+        _, rd, rs0, rs1 = d
+        values = self._values
+        shift = values[rs1] & 0x3F
+        if rd:
+            values[rd] = values[rs0] >> shift
+        tracks = self._tracks
+        src, other, dst = tracks[rs0], tracks[rs1], tracks[rd]
+        sfva, ofva = src.fva, other.fva
+        if sfva is not None and ofva is not None:
+            dst.fva = (sfva >> (ofva & 0x3F)) & WORD_MASK
+            dst.sc = 1
+        elif sfva is None and ofva is not None:
+            dst.fva = None
+            dst.sc = self._clamp_sc(src.sc >> (ofva & 0x3F))
+        else:
+            dst.fva = None
+            dst.sc = 1
+        self._retire()
+
+    def _op_sll_ri(self, d):
+        _, rd, rs0, shift = d
+        values = self._values
+        if rd:
+            values[rd] = (values[rs0] << shift) & WORD_MASK
+        tracks = self._tracks
+        src, dst = tracks[rs0], tracks[rd]
+        sfva = src.fva
+        if sfva is None:
+            dst.fva = None
+            dst.sc = self._clamp_sc(src.sc << shift)
+        else:
+            dst.fva = (sfva << shift) & WORD_MASK
+            dst.sc = 1
+        self._retire()
+
+    def _op_srl_ri(self, d):
+        _, rd, rs0, shift = d
+        values = self._values
+        if rd:
+            values[rd] = values[rs0] >> shift
+        tracks = self._tracks
+        src, dst = tracks[rs0], tracks[rd]
+        sfva = src.fva
+        if sfva is None:
+            dst.fva = None
+            dst.sc = self._clamp_sc(src.sc >> shift)
+        else:
+            dst.fva = (sfva >> shift) & WORD_MASK
+            dst.sc = 1
+        self._retire()
+
+    # -- ALU: and/or/xor (Table III "Otherwise" rule) -----------------------------------
+
+    def _op_and_rr(self, d):
+        _, rd, rs0, rs1 = d
+        values = self._values
+        if rd:
+            values[rd] = values[rs0] & values[rs1]
+        dst = self._tracks[rd]
+        dst.fva = None
+        dst.sc = 1
+        self._retire()
+
+    def _op_or_rr(self, d):
+        _, rd, rs0, rs1 = d
+        values = self._values
+        if rd:
+            values[rd] = values[rs0] | values[rs1]
+        dst = self._tracks[rd]
+        dst.fva = None
+        dst.sc = 1
+        self._retire()
+
+    def _op_xor_rr(self, d):
+        _, rd, rs0, rs1 = d
+        values = self._values
+        if rd:
+            values[rd] = values[rs0] ^ values[rs1]
+        dst = self._tracks[rd]
+        dst.fva = None
+        dst.sc = 1
+        self._retire()
+
+    def _op_and_ri(self, d):
+        _, rd, rs0, imm = d
+        if rd:
+            self._values[rd] = self._values[rs0] & imm
+        dst = self._tracks[rd]
+        dst.fva = None
+        dst.sc = 1
+        self._retire()
+
+    def _op_or_ri(self, d):
+        _, rd, rs0, imm = d
+        if rd:
+            self._values[rd] = self._values[rs0] | imm
+        dst = self._tracks[rd]
+        dst.fva = None
+        dst.sc = 1
+        self._retire()
+
+    def _op_xor_ri(self, d):
+        _, rd, rs0, imm = d
+        if rd:
+            self._values[rd] = self._values[rs0] ^ imm
+        dst = self._tracks[rd]
+        dst.fva = None
+        dst.sc = 1
+        self._retire()
+
+    def _op_jmp(self, d):
+        self.pc_index = d[1]
+        self.time += self._branch_cost
+        if self._speculating:
+            self.stats.transient_executed += 1
+        else:
+            self.stats.instructions_retired += 1
+
+    def _op_nop(self, d):
+        self._retire()
+
+    def _op_branch(self, d):
+        # The resolve-immediately path: these cores do not speculate, and
+        # the generated targets never form a countdown loop.
+        _, cond, rs0, rs1, target = d
+        values = self._values
+        a = values[rs0]
+        b = values[rs1]
+        if cond == 0:
+            taken = a == b
+        elif cond == 1:
+            taken = a != b
+        else:
+            if a & SIGN_BIT:
+                a -= 1 << 64
+            if b & SIGN_BIT:
+                b -= 1 << 64
+            taken = a < b if cond == 2 else a >= b
+        self.stats.branches += 1
+        self.pc_index = target if taken else self.pc_index + 1
+        self.time += self._branch_cost
+        self.stats.instructions_retired += 1
+
+
+_REFERENCE_HANDLERS = {
+    K_LI: ReferenceAlu._op_li,
+    K_MOV: ReferenceAlu._op_mov,
+    K_ADD_RR: ReferenceAlu._op_add_rr,
+    K_SUB_RR: ReferenceAlu._op_sub_rr,
+    K_ADD_RI: ReferenceAlu._op_add_ri,
+    K_MUL_RR: ReferenceAlu._op_mul_rr,
+    K_MUL_RI: ReferenceAlu._op_mul_ri,
+    K_SLL_RR: ReferenceAlu._op_sll_rr,
+    K_SRL_RR: ReferenceAlu._op_srl_rr,
+    K_SLL_RI: ReferenceAlu._op_sll_ri,
+    K_SRL_RI: ReferenceAlu._op_srl_ri,
+    K_AND_RR: ReferenceAlu._op_and_rr,
+    K_OR_RR: ReferenceAlu._op_or_rr,
+    K_XOR_RR: ReferenceAlu._op_xor_rr,
+    K_AND_RI: ReferenceAlu._op_and_ri,
+    K_OR_RI: ReferenceAlu._op_or_ri,
+    K_XOR_RI: ReferenceAlu._op_xor_ri,
+    K_BRANCH: ReferenceAlu._op_branch,
+    K_JMP: ReferenceAlu._op_jmp,
+    K_NOP: ReferenceAlu._op_nop,
+}
+
+# r0 is among the destinations; the words include full-width values,
+# shift amounts >= 64 and values past the scale cap, the immediates
+# negative multipliers.
+_ALU_REGS = st.integers(min_value=0, max_value=5)
+_WORDS = st.one_of(
+    st.integers(min_value=0, max_value=WORD_MASK),
+    st.integers(min_value=64, max_value=300),
+    st.sampled_from([0, 1, 63, 64, 65, 127, 128, 4096, 1 << 40, WORD_MASK]),
+)
+_IMMS = st.one_of(
+    st.integers(min_value=-300, max_value=300),
+    st.integers(min_value=-(1 << 63), max_value=WORD_MASK),
+)
+_ALU_OPS = st.sampled_from(["add", "sub", "mul", "sll", "srl", "and", "or", "xor"])
+alu_instructions = st.one_of(
+    st.builds(lambda rd, imm: Instruction("li", rd=rd, imm=imm), _ALU_REGS, _WORDS),
+    st.builds(lambda rd, rs: Instruction("mov", rd=rd, rs0=rs), _ALU_REGS, _ALU_REGS),
+    st.builds(
+        lambda op, rd, rs0, rs1: Instruction(op, rd=rd, rs0=rs0, rs1=rs1),
+        _ALU_OPS,
+        _ALU_REGS,
+        _ALU_REGS,
+        _ALU_REGS,
+    ),
+    st.builds(
+        lambda op, rd, rs0, imm: Instruction(op, rd=rd, rs0=rs0, imm=imm),
+        _ALU_OPS,
+        _ALU_REGS,
+        _ALU_REGS,
+        _IMMS,
+    ),
+    st.builds(lambda: Instruction("nop")),
+).map(lambda instruction: [instruction])
+# A register shift by a known amount of 64 or more.
+_wide_shifts = st.builds(
+    lambda op, rd, rs0, amount_reg, amount: [
+        Instruction("li", rd=amount_reg, imm=amount),
+        Instruction(op, rd=rd, rs0=rs0, rs1=amount_reg),
+    ],
+    st.sampled_from(["sll", "srl"]),
+    _ALU_REGS,
+    _ALU_REGS,
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=64, max_value=255),
+)
+alu_runs = st.lists(
+    st.one_of(alu_instructions, _wide_shifts), min_size=1, max_size=16
+).map(lambda groups: [instruction for group in groups for instruction in group])
+_DATA_BASE = 0x1000
+
+
+def _alu_program(loaded, body, tail, tail_regs):
+    """Loads of ``loaded`` into r1.. (unknown fva), the ALU ``body``, an
+    optional ``bne``/``jmp`` to the second of two trailing halts."""
+    instructions = [
+        Instruction("load", rd=reg, rs0=0, imm=_DATA_BASE + 8 * (reg - 1))
+        for reg in range(1, len(loaded) + 1)
+    ]
+    instructions += body
+    far = len(instructions) + 2  # the tail, a halt, then the far halt
+    if tail == "bne":
+        instructions.append(
+            Instruction("bne", rs0=tail_regs[0], rs1=tail_regs[1], target=far)
+        )
+    elif tail == "jmp":
+        instructions.append(Instruction("jmp", target=far))
+    instructions += [Instruction("halt"), Instruction("halt")]
+    program = Program(instructions=instructions, name="alu-run")
+    program.add_data(DataSegment(_DATA_BASE, tuple(loaded)))
+    return program.finalize()
+
+
+def _alu_core(core_type, program, config):
+    hierarchy = MemoryHierarchy(num_cores=1)
+    hierarchy.memory.load_program_data(program)
+    return core_type(0, program, hierarchy, config)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    loaded=st.lists(_WORDS, max_size=5),
+    body=alu_runs,
+    tail=st.sampled_from([None, "bne", "jmp"]),
+    tail_regs=st.tuples(_ALU_REGS, _ALU_REGS),
+    base_cost=st.integers(min_value=1, max_value=4),
+    mul_cost=st.integers(min_value=1, max_value=7),
+    branch_cost=st.integers(min_value=1, max_value=3),
+)
+def test_superblock_matches_reference_alu(
+    loaded, body, tail, tail_regs, base_cost, mul_cost, branch_cost
+):
+    program = _alu_program(loaded, body, tail, tail_regs)
+    config = CoreConfig(
+        base_cost=base_cost, mul_cost=mul_cost, branch_cost=branch_cost
+    )
+    subject = _alu_core(Core, program, config)
+    reference = _alu_core(ReferenceAlu, program, config)
+    steps = 0
+    while not subject.halted:
+        subject.step()
+        steps += 1
+    # One step per load, one for the run with its tail, one for the halt.
+    assert steps == len(loaded) + 2
+    while not reference.halted:
+        reference.step()
+    assert subject._values == reference._values
+    assert [(t.fva, t.sc) for t in subject._tracks] == [
+        (t.fva, t.sc) for t in reference._tracks
+    ]
+    assert subject.time == reference.time
+    assert subject.stats.instructions_retired == reference.stats.instructions_retired
+    assert subject.stats.branches == reference.stats.branches
+    assert subject.pc_index == reference.pc_index

@@ -19,6 +19,7 @@ from repro.core.config import PrefenderConfig
 from repro.cpu.core import CoreConfig
 from repro.errors import ConfigError, SimulationError
 from repro.experiments import common, table4
+from repro.isa.assembler import assemble
 from repro.mem.hierarchy import HierarchyConfig
 from repro.runner import (
     ATTACK_KINDS,
@@ -30,7 +31,7 @@ from repro.runner import (
     run_batch,
 )
 from repro.sim.config import PrefetcherSpec, SystemConfig
-from repro.workloads import REGISTRY
+from repro.workloads import REGISTRY, Workload
 
 # Fields whose values are constrained (enums, registry names): a generic
 # "+1"/flip perturbation would be invalid, so supply a valid alternative.
@@ -311,6 +312,26 @@ def test_exhausted_step_budget_names_its_job(workers, failing, name):
         run_batch(jobs, workers=workers)
     message = str(raised.value)
     assert message.startswith(f"{name} (job {failing.key()[:12]}): ")
+    assert "exceeded 50 scheduler steps" in message
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_step_budget_stops_a_superblock_loop(monkeypatch, workers):
+    """``add; jmp`` is one two-op superblock per iteration: each is one
+    scheduler step, and the budget still ends the spin by name."""
+    spin = Workload(
+        name="spin-superblock",
+        suite="spec2006",
+        pattern="two-op ALU loop that never halts",
+        builder=lambda scale: assemble("loop:\nadd r1, r1, 1\njmp loop"),
+    )
+    monkeypatch.setitem(REGISTRY, spin.name, spin)
+    failing = SimJob(spin.name, max_steps=50)
+    jobs = [SimJob("999.specrand", scale=0.05), failing]
+    with pytest.raises(SimulationError) as raised:
+        run_batch(jobs, workers=workers)
+    message = str(raised.value)
+    assert message.startswith(f"spin-superblock (job {failing.key()[:12]}): ")
     assert "exceeded 50 scheduler steps" in message
 
 

@@ -1,5 +1,7 @@
 """Speculative execution: prediction, transient effects, squash."""
 
+import pytest
+
 from repro.cpu.core import Core, CoreConfig
 from repro.isa.assembler import assemble
 from repro.mem.hierarchy import MemoryHierarchy
@@ -10,16 +12,20 @@ SPEC = CoreConfig(
 )
 
 
-def run(source, config=SPEC, max_steps=100000):
+def run(source, config=SPEC, max_steps=100000, per_op=False):
     program = assemble(source)
     hierarchy = MemoryHierarchy(num_cores=1)
     hierarchy.memory.load_program_data(program)
     core = Core(0, program, hierarchy, config)
+    if per_op:
+        # No superblock entries: every step dispatches one instruction.
+        core._blocks = [None] * len(program.decoded)
     steps = 0
     while not core.halted:
         core.step()
         steps += 1
         assert steps < max_steps
+    core.steps_taken = steps
     return core, hierarchy
 
 # A gadget: branch trained taken 4 times, then the condition flips.
@@ -235,3 +241,54 @@ def test_nested_branches_resolve_inline():
         """
     )
     assert core.regs.read(11) == 4
+
+
+# The bounds check is a straight ALU run whose tail, ``beq``, mispredicts on
+# the last round: the transient window opens at the end of a superblock.
+SUPERBLOCK_GADGET = """
+.data 0x2000 stride=8 0 0 0 0 1
+li r10, 0x2000
+li r11, 0
+li r12, 5
+loop:
+mul r13, r11, 8
+add r13, r10, r13
+load r14, 0(r13)
+mov r15, r14
+li r16, 0
+xor r17, r15, r16
+beq r17, r16, safe
+jmp skip
+safe:
+li r20, 0x30000
+mul r22, r14, 64
+add r20, r20, r22
+load r21, 0(r20)
+add r23, r21, 1
+skip:
+add r11, r11, 1
+blt r11, r12, loop
+halt
+"""
+
+
+@pytest.mark.parametrize("spec_window", [2, 5, 12, 48])
+@pytest.mark.parametrize("resolve_delay", [6, 300])
+def test_mispredicted_superblock_tail_matches_per_op(spec_window, resolve_delay):
+    config = CoreConfig(
+        speculative_execution=True,
+        resolve_delay=resolve_delay,
+        spec_window=spec_window,
+        branch_miss_penalty=8,
+    )
+    blocks, block_hierarchy = run(SUPERBLOCK_GADGET, config)
+    per_op, per_op_hierarchy = run(SUPERBLOCK_GADGET, config, per_op=True)
+    assert blocks.steps_taken < per_op.steps_taken
+    assert blocks.stats.mispredictions >= 1 and blocks.stats.squashes >= 1
+    assert blocks.stats == per_op.stats
+    assert blocks.time == per_op.time
+    assert blocks.regs.snapshot() == per_op.regs.snapshot()
+    assert blocks.snapshot()["tracks"] == per_op.snapshot()["tracks"]
+    assert block_hierarchy.l1_contains(0, 0x30000) == per_op_hierarchy.l1_contains(
+        0, 0x30000
+    )

@@ -47,6 +47,7 @@ GLOBAL_SKIP = frozenset(
         "on_evict",
         "_dispatch",
         "_decoded",
+        "_blocks",
         "_port",
         "_memory",
         "_active",
