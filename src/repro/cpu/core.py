@@ -47,7 +47,6 @@ from repro.isa.alu import (
     MUL_KINDS,
     alu_source,
     compile_function,
-    template_locals,
 )
 from repro.isa.decode import (
     K_ADD_RI,
@@ -577,15 +576,12 @@ class Core:
             self.stats.instructions_retired += 1
 
 
-#: The core attribute behind each local the ALU templates read.
-_TEMPLATE_STATE = {"values": "_values", "tracks": "_tracks", "cap": "_scale_cap"}
-
-
-def _bind_template_locals(body: str) -> list[str]:
-    """Lines binding the core state the ALU templates in ``body`` read."""
-    return [
-        f"{name} = core.{_TEMPLATE_STATE[name]}" for name in template_locals(body)
-    ]
+#: Binds the locals the ALU templates read (see repro.isa.alu).
+_TEMPLATE_LOCALS = [
+    "values = core._values",
+    "tracks = core._tracks",
+    "cap = core._scale_cap",
+]
 
 
 def _alu_handler(kind: int) -> Any:
@@ -594,7 +590,7 @@ def _alu_handler(kind: int) -> Any:
     rule = alu_source(kind, fields)
     cost = "_mul_cost" if kind in MUL_KINDS else "_base_cost"
     lines = [f"_, {', '.join(fields)} = d"] if fields else []
-    lines += _bind_template_locals(rule)
+    lines += _TEMPLATE_LOCALS
     lines += [
         rule,
         f"core.time += core.{cost}",
@@ -656,7 +652,7 @@ def _compile_run(ops: tuple[tuple[Any, ...], ...]) -> Any:
         for count, attr in ((n - muls, "_base_cost"), (muls, "_mul_cost"))
         if count
     )
-    lines = _bind_template_locals(rules) + [
+    lines = _TEMPLATE_LOCALS + [
         rules,
         f"core.time += {cost}",
         f"core.stats.instructions_retired += {n}",

@@ -200,12 +200,10 @@ class System:
                     return steps
                 if steps >= max_steps:
                     raise self._overrun(max_steps)
-        stats = core.stats
         while True:
-            retired = stats.instructions_retired
             step()
             steps += 1
-            sampler.advance(stats.instructions_retired - retired)
+            sampler.check()
             if core.halted:
                 return steps
             if steps >= max_steps:
@@ -225,13 +223,10 @@ class System:
         """
         while True:
             core = first if first.time <= second.time else second
-            if sampler is None:
-                core.step()
-            else:
-                retired = core.stats.instructions_retired
-                core.step()
-                sampler.advance(core.stats.instructions_retired - retired)
+            core.step()
             steps += 1
+            if sampler is not None:
+                sampler.check()
             if core.halted:
                 return steps
             if steps >= max_steps:
@@ -255,13 +250,10 @@ class System:
         heapreplace = heapq.heapreplace
         while True:
             _, position, core = heap[0]
-            if sampler is None:
-                core.step()
-            else:
-                retired = core.stats.instructions_retired
-                core.step()
-                sampler.advance(core.stats.instructions_retired - retired)
+            core.step()
             steps += 1
+            if sampler is not None:
+                sampler.check()
             if core.halted:
                 return steps
             if steps >= max_steps:
@@ -308,7 +300,7 @@ class _Sampler:
     one are as they were at the exact multiple.
     """
 
-    __slots__ = ("system", "interval", "sample_fn", "samples", "retired", "due")
+    __slots__ = ("system", "interval", "sample_fn", "samples", "due")
 
     def __init__(
         self,
@@ -320,13 +312,15 @@ class _Sampler:
         self.interval = interval
         self.sample_fn = sample_fn
         self.samples: list[tuple[int, object]] = []
-        self.retired = sum(core.stats.instructions_retired for core in system.cores)
-        self.due = (self.retired // interval + 1) * interval
+        self.due = (self._retired() // interval + 1) * interval
 
-    def advance(self, retired: int) -> None:
-        """Account ``retired`` more instructions; sample each crossed multiple."""
-        self.retired += retired
-        while self.retired >= self.due:
+    def _retired(self) -> int:
+        return sum(core.stats.instructions_retired for core in self.system.cores)
+
+    def check(self) -> None:
+        """After a step: one sample per multiple crossed since the last."""
+        retired = self._retired()
+        while retired >= self.due:
             self.samples.append((self.due, self.sample_fn(self.system)))
             self.due += self.interval
 

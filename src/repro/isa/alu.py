@@ -23,7 +23,6 @@ is the behaviour the golden runs pin.
 
 from __future__ import annotations
 
-import re
 from typing import Any, Callable, NamedTuple, Sequence
 
 from repro.isa.decode import (
@@ -272,21 +271,12 @@ def compile_function(
 ) -> Callable[..., Any]:
     """Compile ``def name(params): body`` into a function.
 
-    The body's free names resolve in ``namespace`` plus ``WORD_MASK``.
-    Locals the templates read (``values``, ``tracks``, ``cap``) must be
-    bound by the caller's part of ``body``; see :func:`template_locals`.
+    The body's free names resolve in ``namespace`` plus ``WORD_MASK``; the
+    template locals (``values``, ``tracks``, ``cap``) must be parameters
+    or bound by ``body`` itself.
     """
     source = f"def {name}({params}):\n" + _indent(body or "pass") + "\n"
     scope = {"WORD_MASK": WORD_MASK, **namespace}
     exec(compile(source, f"<alu:{name}>", "exec"), scope)
     function: Callable[..., Any] = scope[name]
     return function
-
-
-def template_locals(body: str) -> list[str]:
-    """Which of the template locals ``body`` reads."""
-    return [
-        name
-        for name in ("values", "tracks", "cap")
-        if re.search(rf"\b{name}\b", body)
-    ]

@@ -12,20 +12,16 @@ SPEC = CoreConfig(
 )
 
 
-def run(source, config=SPEC, max_steps=100000, per_op=False):
+def run(source, config=SPEC, max_steps=100000):
     program = assemble(source)
     hierarchy = MemoryHierarchy(num_cores=1)
     hierarchy.memory.load_program_data(program)
     core = Core(0, program, hierarchy, config)
-    if per_op:
-        # No superblock entries: every step dispatches one instruction.
-        core._blocks = [None] * len(program.decoded)
     steps = 0
     while not core.halted:
         core.step()
         steps += 1
         assert steps < max_steps
-    core.steps_taken = steps
     return core, hierarchy
 
 # A gadget: branch trained taken 4 times, then the condition flips.
@@ -272,6 +268,22 @@ halt
 """
 
 
+def _run_counting_steps(source, config, per_op):
+    program = assemble(source)
+    hierarchy = MemoryHierarchy(num_cores=1)
+    hierarchy.memory.load_program_data(program)
+    core = Core(0, program, hierarchy, config)
+    if per_op:
+        # No superblock entries: every step dispatches one instruction.
+        core._blocks = [None] * len(program.decoded)
+    steps = 0
+    while not core.halted:
+        core.step()
+        steps += 1
+        assert steps < 100_000
+    return core, hierarchy, steps
+
+
 @pytest.mark.parametrize("spec_window", [2, 5, 12, 48])
 @pytest.mark.parametrize("resolve_delay", [6, 300])
 def test_mispredicted_superblock_tail_matches_per_op(spec_window, resolve_delay):
@@ -281,9 +293,13 @@ def test_mispredicted_superblock_tail_matches_per_op(spec_window, resolve_delay)
         spec_window=spec_window,
         branch_miss_penalty=8,
     )
-    blocks, block_hierarchy = run(SUPERBLOCK_GADGET, config)
-    per_op, per_op_hierarchy = run(SUPERBLOCK_GADGET, config, per_op=True)
-    assert blocks.steps_taken < per_op.steps_taken
+    blocks, block_hierarchy, block_steps = _run_counting_steps(
+        SUPERBLOCK_GADGET, config, per_op=False
+    )
+    per_op, per_op_hierarchy, per_op_steps = _run_counting_steps(
+        SUPERBLOCK_GADGET, config, per_op=True
+    )
+    assert block_steps < per_op_steps
     assert blocks.stats.mispredictions >= 1 and blocks.stats.squashes >= 1
     assert blocks.stats == per_op.stats
     assert blocks.time == per_op.time

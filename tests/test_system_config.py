@@ -68,6 +68,16 @@ def test_sampling_hook():
     assert times == sorted(times)
 
 
+def test_sampling_labels_multiples_of_retired_instructions():
+    """The fused countdown retires ~200 instructions in one step; each
+    multiple it crosses still gets its own sample."""
+    program = assemble("li r1, 100\nloop:\nsub r1, r1, 1\nbne r1, zero, loop\nhalt")
+    system = build_system([program], SystemConfig())
+    result = system.run(sample_interval=50, sample_fn=lambda s: s.cores[0].time)
+    assert result.instructions == 202
+    assert [label for label, _ in result.samples] == [50, 100, 150, 200]
+
+
 def test_prefetcher_spec_labels():
     assert PrefetcherSpec(kind="none").label == "Baseline"
     assert PrefetcherSpec(kind="tagged").label == "Tagged"
